@@ -21,7 +21,6 @@ from .dataio import (
 from .errors import (
     DatabaseValidationError,
     EnumerationBudgetError,
-    JoinChainError,
     MissingUtilityError,
     OccumineError,
     ParseError,
@@ -59,7 +58,6 @@ __all__ = [
     "FULL",
     "GeneratorConfig",
     "ItemOccurrence",
-    "JoinChainError",
     "MiningOutcome",
     "MiningStats",
     "MissingUtilityError",

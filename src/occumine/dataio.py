@@ -11,6 +11,8 @@ starting with ``#`` are comments, final newline optional:
 * utilities: one ``item unit-utility`` pair per line, space-separated,
   unit utilities non-negative.
 
+A transaction's total utility must be positive and finite.
+
 Probabilities are written with however many digits round-trip exactly,
 and the parser accepts full precision, so parse(write(db)) == db.
 """
@@ -87,6 +89,7 @@ def parse_database(
     for number, line in _lines(_decode(transactions_text)):
         row: list[tuple[str, int, float]] = []
         seen: set[str] = set()
+        tu = 0.0
         for match in _TOKEN_RE.finditer(line):
             token, column = match.group(), match.start() + 1
             parts = token.split(":")
@@ -125,7 +128,15 @@ def parse_database(
             if item not in utilities:
                 raise MissingUtilityError(item, number)
             row.append((item, quantity, prob))
-        if not any(q * utilities[i] > 0 for i, q, _ in row):
+            try:
+                tu += quantity * utilities[item]
+            except OverflowError:
+                raise ParseError(
+                    "quantity out of range (beyond the float range)", number, column
+                ) from None
+        if not math.isfinite(tu):
+            raise ParseError("transaction total utility is not a finite number", number)
+        if tu == 0:
             raise ParseError("transaction has zero total utility", number)
         rows.append(row)
 

@@ -53,9 +53,5 @@ class EnumerationBudgetError(OccumineError):
         super().__init__(f"enumeration budget of {budget} itemsets exceeded")
 
 
-class JoinChainError(OccumineError):
-    """A list join saw a tid that its prefix list lacks (broken join chain)."""
-
-
 class PlanError(OccumineError):
     """A benchmark plan violates the one-varying-parameter rule or is malformed."""

@@ -1,18 +1,22 @@
-"""Vertical per-pattern lists and the pairwise join that extends them.
+"""Vertical per-pattern lists and the join that extends them.
 
-Each pattern owns a list of per-transaction entries (tid, pro, uo, ruo):
-the pattern's existence probability, utility share, and remaining utility
-share in that transaction.  Lists for single items are built in one
-database pass; every longer pattern's list is derived by joining two
-sibling lists, so k-itemsets never touch the database again.
+Each pattern owns a columnar list: parallel columns ``tids``, ``pro``,
+``uo`` and ``ruo`` hold, per supporting transaction, the tid, the
+pattern's existence probability, its utility share and the remaining
+utility share there; ``bits`` is the set of tids as an int bitset.  Lists
+for single items are built in one database pass.  Every longer pattern's
+list is derived by joining its prefix's list with the single-item list of
+the item that extends it, so k-itemsets never touch the database again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
+from operator import add, mul
 from typing import NamedTuple
 
-from .errors import JoinChainError
 from .measures import TotalOrder
 from .model import UncertainDatabase
 
@@ -26,14 +30,32 @@ class Entry(NamedTuple):
 
 @dataclass(frozen=True)
 class PatternList:
-    """A pattern's vertical list, entries sorted by ascending tid."""
+    """A pattern's vertical list: parallel columns sorted by ascending tid.
+
+    The columns are shared between lists and must not be mutated.
+    """
 
     items: tuple[str, ...]
-    entries: tuple[Entry, ...]
+    tids: list[int]
+    pro: list[float]
+    uo: list[float]
+    ruo: list[float]
+    bits: int
 
     @property
     def support(self) -> int:
-        return len(self.entries)
+        return len(self.tids)
+
+    @property
+    def entries(self) -> tuple[Entry, ...]:
+        """The rows as ``Entry`` tuples; a view for inspection, never used
+        by the search."""
+        return tuple(map(Entry, self.tids, self.pro, self.uo, self.ruo))
+
+    @cached_property
+    def row_of(self) -> dict[int, int]:
+        """tid -> row index, built the first time it is asked for."""
+        return dict(zip(self.tids, range(len(self.tids))))
 
 
 @dataclass(frozen=True)
@@ -49,15 +71,20 @@ class PatternSummary:
 
 def summarize(plist: PatternList) -> PatternSummary:
     """Fold a list into its summary (empty lists yield all-zero fields)."""
-    n = len(plist.entries)
+    n = len(plist.tids)
     if n == 0:
         return PatternSummary(0, 0.0, 0.0, 0.0)
-    pro = uo = ruo = 0.0
-    for entry in plist.entries:
-        pro += entry.pro
-        uo += entry.uo
-        ruo += entry.ruo
-    return PatternSummary(n, pro, uo / n, ruo / n)
+    return PatternSummary(n, sum(plist.pro), sum(plist.uo) / n, sum(plist.ruo) / n)
+
+
+def _bitset(tids: list[int]) -> int:
+    """The int whose set bits are exactly ``tids``."""
+    if not tids:
+        return 0
+    buf = bytearray((tids[-1] >> 3) + 1)
+    for tid in tids:
+        buf[tid >> 3] |= 1 << (tid & 7)
+    return int.from_bytes(buf, "little")
 
 
 def build_single_item_lists(
@@ -72,99 +99,70 @@ def build_single_item_lists(
     """
     rank = order.rank
     utilities = db.unit_utilities
-    entries: dict[str, list[Entry]] = {item: [] for item in order.items}
+    columns: dict[str, tuple[list, list, list, list]] = {
+        item: ([], [], [], []) for item in order.items
+    }
 
     for t in db.transactions:
         present = sorted(
             (occ for occ in t.occurrences if occ.item in rank),
             key=lambda occ: rank[occ.item],
+            reverse=True,
         )
-        if not present:
-            continue
-        shares = [occ.quantity * utilities[occ.item] / t.tu for occ in present]
         tail = 0.0
-        ruos = [0.0] * len(present)
-        for i in range(len(present) - 1, -1, -1):
-            ruos[i] = tail
-            tail += shares[i]
-        for occ, share, ruo in zip(present, shares, ruos):
-            entries[occ.item].append(Entry(t.tid, occ.probability, share, ruo))
+        for occ in present:
+            share = occ.quantity * utilities[occ.item] / t.tu
+            tids, pro, uo, ruo = columns[occ.item]
+            tids.append(t.tid)
+            pro.append(occ.probability)
+            uo.append(share)
+            ruo.append(tail)
+            tail += share
 
     result: dict[str, tuple[PatternList, PatternSummary]] = {}
     for item in order.items:
-        plist = PatternList(items=(item,), entries=tuple(entries[item]))
+        tids, pro, uo, ruo = columns[item]
+        plist = PatternList((item,), tids, pro, uo, ruo, _bitset(tids))
         result[item] = (plist, summarize(plist))
     return result
 
 
 def construct(
-    prefix: PatternList | None,
     xa: PatternList,
-    xb: PatternList,
+    b: PatternList,
     min_sup_count: int,
     join_abort: bool = False,
 ) -> tuple[PatternList, PatternSummary] | None:
-    """Join two sibling lists into the list of their union pattern.
+    """Extend ``xa`` by the item of the single-item list ``b``.
 
-    ``xa`` and ``xb`` both extend ``prefix`` by one item, with ``xa``'s
-    extending item earlier in the mining order.  Per shared tid the
-    joined entry is::
+    ``b``'s item comes after every item of ``xa`` in the mining order.
+    Because tids(Xa) ∩ tids(Xb) = tids(Xa) ∩ tids(b) for any sibling Xb
+    of Xa ending in b, the joined list needs no prefix list.  Per shared
+    tid the joined row is::
 
-        pro = pro_a * pro_b / pro_prefix     (no division when prefix is None)
-        uo  = uo_a + uo_b - uo_prefix        (no subtraction when prefix is None)
+        pro = pro_a * p_b
+        uo  = uo_a + uo_b
         ruo = ruo_b
 
-    Sorted tids make this a linear merge.  With ``join_abort`` enabled, a
-    running bound on the joint support (xa's support minus xa-only tids
-    seen so far) aborts the join and returns ``None`` as soon as it drops
-    below ``min_sup_count``; otherwise the full (possibly empty) result is
-    returned.
+    with the b values read from ``b``'s row for that tid.  The joint
+    support is the popcount of ``xa.bits & b.bits``; with ``join_abort``
+    enabled, a joint support below ``min_sup_count`` returns ``None``
+    before any row is built.  Otherwise the full (possibly empty) result
+    is returned.
     """
-    a_entries = xa.entries
-    b_entries = xb.entries
-    p_entries = prefix.entries if prefix is not None else None
-
-    joined: list[Entry] = []
-    pro_sum = uo_sum = ruo_sum = 0.0
-    sup_bound = len(a_entries)
-    jb = 0
-    jp = 0
-    nb = len(b_entries)
-
-    for ea in a_entries:
-        tid = ea.tid
-        while jb < nb and b_entries[jb].tid < tid:
-            jb += 1
-        if jb < nb and b_entries[jb].tid == tid:
-            eb = b_entries[jb]
-            if p_entries is None:
-                pro = ea.pro * eb.pro
-                uo = ea.uo + eb.uo
-            else:
-                while jp < len(p_entries) and p_entries[jp].tid < tid:
-                    jp += 1
-                if jp >= len(p_entries) or p_entries[jp].tid != tid:
-                    raise JoinChainError(
-                        f"prefix {xa.items[:-1]} has no entry for tid {tid} "
-                        f"shared by its extensions"
-                    )
-                ep = p_entries[jp]
-                pro = ea.pro * eb.pro / ep.pro
-                uo = ea.uo + eb.uo - ep.uo
-            joined.append(Entry(tid, pro, uo, eb.ruo))
-            pro_sum += pro
-            uo_sum += uo
-            ruo_sum += eb.ruo
-        else:
-            sup_bound -= 1
-            if join_abort and sup_bound < min_sup_count:
-                return None
-
-    items = xa.items + (xb.items[-1],)
-    plist = PatternList(items=items, entries=tuple(joined))
-    n = len(joined)
-    if n == 0:
-        summary = PatternSummary(0, 0.0, 0.0, 0.0)
-    else:
-        summary = PatternSummary(n, pro_sum, uo_sum / n, ruo_sum / n)
-    return plist, summary
+    bits = xa.bits & b.bits
+    if join_abort and bits.bit_count() < min_sup_count:
+        return None
+    # b's row for each of xa's tids; None where b is absent.
+    rows = list(map(b.row_of.get, xa.tids))
+    hit = [row is not None for row in rows]
+    rows = list(compress(rows, hit))
+    plist = PatternList(
+        xa.items + b.items,
+        list(compress(xa.tids, hit)),
+        list(map(mul, compress(xa.pro, hit), map(b.pro.__getitem__, rows))),
+        list(map(add, compress(xa.uo, hit), map(b.uo.__getitem__, rows))),
+        list(map(b.ruo.__getitem__, rows)),
+        bits,
+    )
+    return plist, summarize(plist)

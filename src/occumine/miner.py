@@ -1,9 +1,10 @@
 """Depth-first pattern search over the support-ordered set-enumeration tree.
 
-The search keeps a vertical list per visited node and extends nodes by
-joining sibling lists.  Four pruning strategies are switchable; they only
-change how much of the tree is traversed, never which patterns come out,
-because every emission re-checks all three thresholds.
+The search keeps a vertical list per visited node and extends a node by
+joining its list with the single-item list of each later sibling's last
+item.  Four pruning strategies are switchable; they only change how much
+of the tree is traversed, never which patterns come out, because every
+emission re-checks all three thresholds.
 
 * support pruning: skip a node (and its subtree) whose support count is
   below the minimum, which is sound because support is anti-monotone.
@@ -11,15 +12,15 @@ because every emission re-checks all three thresholds.
   any qualifying descendant's utility occupancy falls below the minimum.
 * probability pruning: skip a node's subtree when its summed probability
   is below the minimum, sound by the same anti-monotonicity argument.
-* join abort: stop a list join midway once the joint support can no
-  longer reach the minimum.
+* join abort: skip a list join whose joint support, counted on the tid
+  bitsets before any row is built, is below the minimum.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass, field
+from operator import add
 
 from .errors import DatabaseValidationError
 from .lists import PatternList, PatternSummary, build_single_item_lists, construct
@@ -63,9 +64,6 @@ class MiningOutcome:
     patterns: tuple[PatternRecord, ...]
     stats: MiningStats
 
-    def pattern_sets(self) -> dict[frozenset[str], PatternRecord]:
-        return {record.pattern: record for record in self.patterns}
-
 
 def upper_bound(plist: PatternList, min_sup_count: int) -> float:
     """Bound the utility occupancy of any qualifying extension of a node.
@@ -77,10 +75,10 @@ def upper_bound(plist: PatternList, min_sup_count: int) -> float:
     ``min_sup_count``: the missing transactions contribute nothing to any
     extension's numerator.
     """
-    if not plist.entries:
+    if not plist.tids:
         return 0.0
     k = min_sup_count
-    top = heapq.nlargest(k, (e.uo + e.ruo for e in plist.entries))
+    top = sorted(map(add, plist.uo, plist.ruo), reverse=True)[:k]
     return sum(top) / k
 
 
@@ -91,17 +89,18 @@ class _Search:
     beta: float
     strategies: StrategySet
     stats: MiningStats
+    singles: dict[str, PatternList]
     found: list[PatternRecord] = field(default_factory=list)
     node_trace: list[tuple[tuple[str, ...], float]] | None = None
 
-    def run(self, prefix: PatternList | None, extensions: list[tuple[PatternList, PatternSummary]]) -> None:
+    def run(self, extensions: list[tuple[PatternList, PatternSummary]]) -> None:
         s = self.strategies
         for index, (xa_list, xa_sum) in enumerate(extensions):
             self.stats.visited_nodes += 1
+            bound = None
             if self.node_trace is not None:
-                self.node_trace.append(
-                    (xa_list.items, upper_bound(xa_list, self.min_sup))
-                )
+                bound = upper_bound(xa_list, self.min_sup)
+                self.node_trace.append((xa_list.items, bound))
 
             sc_ok = xa_sum.support >= self.min_sup
             pro_ok = xa_sum.probability >= self.min_pro - TOL
@@ -120,19 +119,25 @@ class _Search:
                     )
                 )
 
-            if s.bound_prune and upper_bound(xa_list, self.min_sup) < self.beta - TOL:
-                continue
+            if s.bound_prune:
+                if bound is None:
+                    bound = upper_bound(xa_list, self.min_sup)
+                if bound < self.beta - TOL:
+                    continue
 
             children: list[tuple[PatternList, PatternSummary]] = []
             for xb_list, _ in extensions[index + 1 :]:
                 self.stats.candidate_joins += 1
                 joined = construct(
-                    prefix, xa_list, xb_list, self.min_sup, join_abort=s.join_abort
+                    xa_list,
+                    self.singles[xb_list.items[-1]],
+                    self.min_sup,
+                    join_abort=s.join_abort,
                 )
                 if joined is None:
                     continue
                 child_list, child_sum = joined
-                if not child_list.entries:
+                if not child_list.tids:
                     continue
                 self.stats.constructed_lists += 1
                 if s.support_prune and child_sum.support < self.min_sup:
@@ -141,7 +146,7 @@ class _Search:
                     continue
                 children.append(joined)
             if children:
-                self.run(xa_list, children)
+                self.run(children)
 
 
 def mine(
@@ -209,9 +214,10 @@ def mine(
                 beta=thresholds.beta,
                 strategies=strategies,
                 stats=stats,
+                singles={item: plist for item, (plist, _) in singles.items()},
                 node_trace=node_trace,
             )
-            search.run(None, extensions)
+            search.run(extensions)
             outcome_patterns = tuple(sorted(search.found, key=PatternRecord.sort_key))
 
     stats.patterns_found = len(outcome_patterns)

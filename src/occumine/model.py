@@ -263,7 +263,11 @@ def validate_database(db: UncertainDatabase) -> list[Violation]:
             else:
                 recomputed += occ.quantity * db.unit_utilities[occ.item]
         if all(occ.item in db.unit_utilities for occ in t.occurrences):
-            if abs(recomputed - t.tu) > TOL:
+            if not (math.isfinite(recomputed) and math.isfinite(t.tu)):
+                violations.append(
+                    Violation("transaction utility is not a finite number", tid=t.tid)
+                )
+            elif abs(recomputed - t.tu) > TOL:
                 violations.append(
                     Violation(
                         f"stored tu {t.tu} does not match recomputed {recomputed}",

@@ -98,6 +98,38 @@ def test_missing_utility_file_exits_1(capsys):
     assert "/nope/missing.txt" in err
 
 
+def test_mine_non_finite_total_utility_exits_1(tmp_path, capsys):
+    data = tmp_path / "data.txt"
+    utility = tmp_path / "utility.txt"
+    data.write_text("a:1:0.5\na:2:0.5 b:1:1\n")
+    utility.write_text("a 1e308\nb 1\n")
+    code, out, err = run(
+        ["mine", "--data", str(data), "--utility", str(utility),
+         "--alpha", "0.5", "--beta", "0.1", "--gamma", "0"],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert "line 2" in err and "not a finite number" in err
+
+
+def test_mine_underflowing_probabilities(tmp_path, capsys):
+    # Every 3-item product of these probabilities underflows to 0.0.
+    data = tmp_path / "data.txt"
+    utility = tmp_path / "utility.txt"
+    data.write_text("a:1:1e-120 b:1:1e-120 c:1:1e-120 d:1:1e-120 e:1:1e-120\n" * 3)
+    utility.write_text("a 1\nb 1\nc 1\nd 1\ne 1\n")
+    flags = ["--data", str(data), "--utility", str(utility),
+             "--alpha", "0.5", "--beta", "0.1", "--gamma", "0"]
+    code, oracle_out, _ = run(["oracle", *flags, "--max-len", "5"], capsys)
+    assert code == 0
+    assert len(oracle_out.splitlines()) == 31
+    for preset in ("full", "s12", "s13", "s1"):
+        code, out, err = run(["mine", *flags, "--strategies", preset], capsys)
+        assert (code, err) == (0, "")
+        assert out == oracle_out
+
+
 def test_oracle_matches_mine(capsys):
     flags = ["--alpha", "0.3", "--beta", "0.3", "--gamma", "0.05"]
     code, mine_out, _ = run(["mine", *EXAMPLE_FLAGS, *flags], capsys)

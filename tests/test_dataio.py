@@ -80,6 +80,21 @@ def test_duplicate_item_rejected():
     assert "duplicate" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "data, utilities, column, message",
+    [
+        ("a:1:0.5\na:2:0.5 c:1:1\n", "a 1e308\nc 1\n", None, "not a finite number"),
+        ("a:1:0.5\na:1:0.5 c:1:1\n", "a 1e308\nc 1e308\n", None, "not a finite number"),
+        ("a:1:0.5\na:1:1 c:1" + "0" * 400 + ":0.5\n", "a 1\nc 0\n", 7, "float range"),
+    ],
+)
+def test_non_finite_total_utility_rejected(data, utilities, column, message):
+    with pytest.raises(ParseError) as info:
+        parse_database(data, utilities)
+    assert (info.value.line, info.value.column) == (2, column)
+    assert message in str(info.value)
+
+
 def test_unknown_item_raises_missing_utility():
     with pytest.raises(MissingUtilityError) as info:
         parse_database("q:1:0.5\n", UTILITY_TEXT)

@@ -4,7 +4,6 @@ import pytest
 
 from occumine import (
     GeneratorConfig,
-    JoinChainError,
     generate,
     probability,
     remaining_utility_occupancy,
@@ -12,13 +11,7 @@ from occumine import (
     total_order,
     utility_occupancy,
 )
-from occumine.lists import (
-    Entry,
-    PatternList,
-    build_single_item_lists,
-    construct,
-    summarize,
-)
+from occumine.lists import build_single_item_lists, construct, summarize
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +53,7 @@ def test_summaries_match_recomputation(example_singles):
 
 
 def test_construct_first_level(example_singles):
-    joined = construct(None, example_singles["e"][0], example_singles["a"][0], 1)
+    joined = construct(example_singles["e"][0], example_singles["a"][0], 1)
     assert joined is not None
     plist, summary = joined
     assert plist.items == ("e", "a")
@@ -73,16 +66,16 @@ def test_construct_first_level(example_singles):
 
 
 def test_construct_probability_sum(example_singles):
-    _, summary = construct(None, example_singles["b"][0], example_singles["c"][0], 1)
+    _, summary = construct(example_singles["b"][0], example_singles["c"][0], 1)
     assert summary.probability == pytest.approx(1.45, abs=1e-9)
 
 
 def test_join_abort(example_singles):
     e_list = example_singles["e"][0]
     d_list = example_singles["d"][0]
-    assert construct(None, e_list, d_list, 4, join_abort=True) is None
+    assert construct(e_list, d_list, 4, join_abort=True) is None
     # without the abort the same join completes with its true support
-    joined = construct(None, e_list, d_list, 4, join_abort=False)
+    joined = construct(e_list, d_list, 4, join_abort=False)
     assert joined is not None
     assert joined[0].support == 2
 
@@ -90,9 +83,9 @@ def test_join_abort(example_singles):
 def test_abort_flag_never_changes_contents(example_singles):
     items = list(example_singles)
     for a, b in itertools.combinations(items, 2):
-        plain = construct(None, example_singles[a][0], example_singles[b][0], 1)
+        plain = construct(example_singles[a][0], example_singles[b][0], 1)
         aborting = construct(
-            None, example_singles[a][0], example_singles[b][0], 1, join_abort=True
+            example_singles[a][0], example_singles[b][0], 1, join_abort=True
         )
         # min support 1 can never trigger the abort on non-disjoint lists
         if plain[0].entries:
@@ -103,37 +96,27 @@ def test_abort_flag_never_changes_contents(example_singles):
 def test_joined_remaining_comes_from_later_operand(example_singles):
     a_list = example_singles["a"][0]
     d_list = example_singles["d"][0]
-    joined, _ = construct(None, a_list, d_list, 1)
+    joined, _ = construct(a_list, d_list, 1)
     d_by_tid = {e.tid: e for e in d_list.entries}
     for entry in joined.entries:
         assert entry.ruo == d_by_tid[entry.tid].ruo
-
-
-def test_broken_join_chain_raises(example_singles):
-    e_list = example_singles["e"][0]
-    a_list = example_singles["a"][0]
-    ea = construct(None, e_list, a_list, 1)[0]
-    eb = construct(None, e_list, example_singles["b"][0], 1)[0]
-    hollow = PatternList(items=("e",), entries=(Entry(1, 0.5, 0.1, 0.2),))
-    with pytest.raises(JoinChainError):
-        construct(hollow, ea, eb, 1)
 
 
 def _chain_lists(db):
     """Join every reachable pattern's list, mirroring the search order."""
     order = total_order(db)
     singles = build_single_item_lists(db, order)
-    level = [(None, singles[item][0]) for item in order.items]
+    level = [singles[item][0] for item in order.items]
     while level:
         next_level = []
-        for index, (prefix, xa) in enumerate(level):
+        for index, xa in enumerate(level):
             yield xa
-            for _, xb in level[index + 1 :]:
+            for xb in level[index + 1 :]:
                 if xb.items[:-1] != xa.items[:-1]:
                     continue
-                joined = construct(prefix, xa, xb, 1)
+                joined = construct(xa, singles[xb.items[-1]][0], 1)
                 if joined and joined[0].entries:
-                    next_level.append((xa, joined[0]))
+                    next_level.append(joined[0])
         level = next_level
 
 
@@ -156,6 +139,7 @@ def test_join_fidelity_against_direct_measures(seed):
         items = plist.items
         summary = summarize(plist)
         assert summary.support == support_count(items, db)
+        assert plist.bits == sum(1 << tid for tid in plist.tids)
         assert summary.probability == pytest.approx(probability(items, db), abs=1e-9)
         assert summary.occupancy == pytest.approx(utility_occupancy(items, db), abs=1e-9)
         for entry in plist.entries:

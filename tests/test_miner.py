@@ -42,7 +42,8 @@ def test_upper_bound_short_list(example_db):
 def test_upper_bound_empty_list(example_db):
     from occumine.lists import PatternList
 
-    assert upper_bound(PatternList(items=("x",), entries=()), 3) == 0.0
+    empty = PatternList(items=("x",), tids=[], pro=[], uo=[], ruo=[], bits=0)
+    assert upper_bound(empty, 3) == 0.0
 
 
 def test_mine_high_thresholds(example_db):
@@ -72,6 +73,22 @@ def test_low_occupancy_node_is_explored_not_emitted(example_db):
     bound = dict(trace)[("b",)]
     assert bound == pytest.approx(0.8911, abs=1e-4)
     assert any(items[0] == "b" and len(items) == 2 for items in traced)
+
+
+def test_node_trace_computes_each_bound_once(example_db, monkeypatch):
+    import occumine.miner as miner_module
+
+    calls = []
+
+    def counting_bound(plist, min_sup_count):
+        calls.append(plist.items)
+        return upper_bound(plist, min_sup_count)
+
+    monkeypatch.setattr(miner_module, "upper_bound", counting_bound)
+    trace = []
+    outcome = mine(example_db, Thresholds(0.3, 0.3, 0.05), node_trace=trace)
+    assert calls == [items for items, _ in trace]
+    assert len(calls) == outcome.stats.visited_nodes
 
 
 def test_support_pruned_node_has_no_descendants():
@@ -177,6 +194,25 @@ def test_mine_matches_oracle(seed):
                 assert record.utility_occupancy == pytest.approx(
                     reference.utility_occupancy, abs=1e-6
                 )
+
+
+def test_underflowing_probabilities_match_oracle():
+    # Every 3-item product of these probabilities underflows to 0.0.
+    row = [(item, 1, 1e-120) for item in "abcde"]
+    db = build_database([row] * 3, dict.fromkeys("abcde", 1.0))
+    thresholds = Thresholds(0.5, 0.1, 0.0)
+    expected = oracle_mine(db, thresholds, max_len=5)
+    assert len(expected) == 31
+    for strategies in PRESETS.values():
+        got = mine(db, thresholds, strategies).patterns
+        assert [(r.items, r.support) for r in got] == [
+            (r.items, r.support) for r in expected
+        ]
+        for record, reference in zip(got, expected):
+            assert record.probability == pytest.approx(reference.probability, abs=1e-6)
+            assert record.utility_occupancy == pytest.approx(
+                reference.utility_occupancy, abs=1e-6
+            )
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -39,6 +39,13 @@ def test_tu_mismatch_is_flagged(example_db):
     assert "64.0" in violations[0].message and "65" in violations[0].message
 
 
+def test_non_finite_utility_is_flagged():
+    db = build_database([[("a", 1, 0.5)], [("a", 2, 0.5)]], {"a": 1e308})
+    violations = validate_database(db)
+    assert [v.tid for v in violations] == [2]
+    assert "not a finite number" in violations[0].message
+
+
 def test_duplicate_item_and_missing_utility_are_flagged():
     db = build_database([[("a", 1, 0.5)]], {"a": 2.0, "b": 1.0})
     occurrences = db.transactions[0].occurrences * 2
