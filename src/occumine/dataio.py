@@ -85,7 +85,10 @@ def parse_database(
     """Parse the two text formats into a validated database."""
     utilities = parse_utilities(utility_text)
 
-    rows: list[list[tuple[str, int, float]]] = []
+    # Rows are exact tuples of atomics, which the cyclic GC stops tracking
+    # once they survive a collection, so the full collections a large
+    # input triggers walk O(lines) objects, not O(tokens).
+    rows: list[tuple[tuple[str, int, float], ...]] = []
     for number, line in _lines(_decode(transactions_text)):
         row: list[tuple[str, int, float]] = []
         seen: set[str] = set()
@@ -98,7 +101,10 @@ def parse_database(
                     f"token {token!r} is not item:quantity:probability", number, column
                 )
             item, quantity_text, probability_text = parts
-            if not _ITEM_RE.match(item):
+            # Every utility key already matched _ITEM_RE, so only an
+            # unknown item needs the regex.
+            known = item in utilities
+            if not known and not _ITEM_RE.match(item):
                 raise ParseError(f"invalid item id {item!r}", number, column)
             if item in seen:
                 raise ParseError(f"duplicate item {item!r} in transaction", number, column)
@@ -125,7 +131,7 @@ def parse_database(
                     number,
                     column,
                 )
-            if item not in utilities:
+            if not known:
                 raise MissingUtilityError(item, number)
             row.append((item, quantity, prob))
             try:
@@ -138,7 +144,7 @@ def parse_database(
             raise ParseError("transaction total utility is not a finite number", number)
         if tu == 0:
             raise ParseError("transaction has zero total utility", number)
-        rows.append(row)
+        rows.append(tuple(row))
 
     return build_database(rows, utilities)
 

@@ -104,17 +104,21 @@ def build_single_item_lists(
     }
 
     for t in db.transactions:
+        tid, tu = t.tid, t.tu
+        # Ranks are distinct, so the tuples sort by rank alone.
         present = sorted(
-            (occ for occ in t.occurrences if occ.item in rank),
-            key=lambda occ: rank[occ.item],
+            [
+                (rank[item], item, quantity * utilities[item] / tu, p)
+                for item, quantity, p in zip(t.items, t.quantities, t.probabilities)
+                if item in rank
+            ],
             reverse=True,
         )
         tail = 0.0
-        for occ in present:
-            share = occ.quantity * utilities[occ.item] / t.tu
-            tids, pro, uo, ruo = columns[occ.item]
-            tids.append(t.tid)
-            pro.append(occ.probability)
+        for _, item, share, p in present:
+            tids, pro, uo, ruo = columns[item]
+            tids.append(tid)
+            pro.append(p)
             uo.append(share)
             ruo.append(tail)
             tail += share

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import EnumerationBudgetError, MissingUtilityError, UndefinedMeasureError
 from .model import TOL, PatternRecord, Thresholds, UncertainDatabase
@@ -47,23 +47,31 @@ class TotalOrder:
         return len(self.items)
 
 
-def total_order(db: UncertainDatabase, promising: Iterable[str] | None = None) -> TotalOrder:
+def total_order(
+    db: UncertainDatabase,
+    promising: Iterable[str] | None = None,
+    counts: Mapping[str, int] | None = None,
+) -> TotalOrder:
     """Rank items by ascending support count, ties broken by ascending id.
 
     Only the ``promising`` items are ranked (default: the whole item
     universe).  Dropping items never reorders the rest, so orders built
     over different promising sets agree on their intersection.
+    ``counts``, when given, must hold the support count of every ranked
+    item (the miner passes the counts of its first pass); otherwise they
+    are counted here from the transactions.
     """
-    items = db.item_universe if promising is None else tuple(promising)
-    unknown = set(items) - set(db.item_universe)
+    items = set(db.item_universe if promising is None else promising)
+    unknown = items - set(db.item_universe)
     if unknown:
         raise ValueError(f"items not in database universe: {sorted(unknown)}")
-    counts = {item: 0 for item in items}
-    for t in db.transactions:
-        for item in t.item_set:
-            if item in counts:
-                counts[item] += 1
-    ordered = tuple(sorted(counts, key=lambda i: (counts[i], i)))
+    if counts is None:
+        counts = dict.fromkeys(items, 0)
+        for t in db.transactions:
+            for item in t.item_set:
+                if item in counts:
+                    counts[item] += 1
+    ordered = tuple(sorted(items, key=lambda i: (counts[i], i)))
     return TotalOrder(rank={item: r for r, item in enumerate(ordered)}, items=ordered)
 
 

@@ -182,9 +182,9 @@ def mine(
         counts: dict[str, int] = {item: 0 for item in db.item_universe}
         pro_mass: dict[str, float] = {item: 0.0 for item in db.item_universe}
         for t in db.transactions:
-            for occ in t.occurrences:
-                counts[occ.item] += 1
-                pro_mass[occ.item] += occ.probability
+            for item, p in zip(t.items, t.probabilities):
+                counts[item] += 1
+                pro_mass[item] += p
 
         # Items below the minimum support can head no qualifying pattern,
         # so they are always dropped.  Items below the probability minimum
@@ -202,7 +202,7 @@ def mine(
         ]
 
         if promising:
-            order = total_order(db, promising)
+            order = total_order(db, promising, counts)
             # Pass 2: one vertical list per promising item, in order.
             singles = build_single_item_lists(db, order)
             stats.constructed_lists += len(singles)

@@ -5,6 +5,15 @@ occurrence carries a purchase quantity (>= 1) and an existential
 probability in (0, 1]; a separate table maps every item to a non-negative
 unit utility.  All model types are frozen dataclasses: instances are
 immutable after construction and safe to share across threads.
+
+A transaction stores its occurrences as parallel columns (``items``,
+``quantities``, ``probabilities``), each an exact tuple of strings, ints
+or floats.  CPython's cyclic garbage collector stops tracking such tuples
+after the first collection they survive, so a loaded database leaves a
+few GC-tracked objects per transaction rather than one per occurrence,
+and full collections during and after loading stay cheap.
+``Transaction.occurrences`` builds :class:`ItemOccurrence` views from the
+columns on demand.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 #: Slack for every floating-point comparison against a threshold:
 #: ``x >= t`` is implemented as ``x >= t - TOL`` because repeated list
@@ -39,22 +49,36 @@ class ItemOccurrence:
 
 @dataclass(frozen=True)
 class Transaction:
-    """A transaction with a 1-based tid and its precomputed total utility ``tu``."""
+    """A transaction with a 1-based tid and its precomputed total utility ``tu``.
+
+    The k-th occurrence is ``items[k]`` bought ``quantities[k]`` times
+    with probability ``probabilities[k]``; the three columns have equal
+    length.  Hot passes read the columns directly; ``occurrences``,
+    ``item_set`` and ``by_item`` are conveniences for the oracle, tests
+    and writers.
+    """
 
     tid: int
-    occurrences: tuple[ItemOccurrence, ...]
+    items: tuple[str, ...]
+    quantities: tuple[int, ...]
+    probabilities: tuple[float, ...]
     tu: float
+
+    @property
+    def occurrences(self) -> tuple[ItemOccurrence, ...]:
+        """The occurrences in column order, built afresh on each access."""
+        return tuple(map(ItemOccurrence, self.items, self.quantities, self.probabilities))
 
     @cached_property
     def item_set(self) -> frozenset[str]:
-        return frozenset(occ.item for occ in self.occurrences)
+        return frozenset(self.items)
 
     @cached_property
     def by_item(self) -> dict[str, ItemOccurrence]:
         return {occ.item: occ for occ in self.occurrences}
 
     def __len__(self) -> int:
-        return len(self.occurrences)
+        return len(self.items)
 
 
 @dataclass(frozen=True)
@@ -80,26 +104,27 @@ class UncertainDatabase:
 
 
 def build_database(
-    rows: list[list[tuple[str, int, float]]],
+    rows: Sequence[Sequence[tuple[str, int, float]]],
     unit_utilities: dict[str, float],
 ) -> UncertainDatabase:
     """Assemble a database from raw (item, quantity, probability) rows.
 
-    Assigns 1-based tids in row order and computes each transaction's
-    total utility from ``unit_utilities``.  Raises ``KeyError`` when an
-    item has no utility entry; structural invariants beyond that are the
-    caller's job (see :func:`validate_database`).
+    Assigns 1-based tids in row order, transposes each row into the
+    transaction's columns and sums its total utility from
+    ``unit_utilities`` in the same left-to-right order the parser and
+    :func:`validate_database` use.  Raises ``KeyError`` when an item has
+    no utility entry; structural invariants beyond that are the caller's
+    job (see :func:`validate_database`).
     """
     transactions = []
     universe: set[str] = set()
-    for index, row in enumerate(rows):
-        occurrences = tuple(
-            ItemOccurrence(item, quantity, probability)
-            for item, quantity, probability in row
-        )
-        tu = sum(occ.quantity * unit_utilities[occ.item] for occ in occurrences)
-        transactions.append(Transaction(index + 1, occurrences, tu))
-        universe.update(occ.item for occ in occurrences)
+    for tid, row in enumerate(rows, start=1):
+        items, quantities, probabilities = zip(*row) if row else ((), (), ())
+        tu = 0.0
+        for item, quantity in zip(items, quantities):
+            tu += quantity * unit_utilities[item]
+        transactions.append(Transaction(tid, items, quantities, probabilities, tu))
+        universe.update(items)
     return UncertainDatabase(
         transactions=tuple(transactions),
         unit_utilities=dict(unit_utilities),
@@ -227,42 +252,41 @@ def validate_database(db: UncertainDatabase) -> list[Violation]:
             violations.append(Violation("duplicate item in universe", item=item))
         seen_universe.add(item)
 
+    utilities = db.unit_utilities
     for position, t in enumerate(db.transactions, start=1):
         if t.tid != position:
             violations.append(
                 Violation(f"tid out of sequence (expected {position})", tid=t.tid)
             )
+        if not len(t.items) == len(t.quantities) == len(t.probabilities):
+            violations.append(Violation("columns differ in length", tid=t.tid))
         seen: set[str] = set()
         recomputed = 0.0
-        for occ in t.occurrences:
-            if occ.item in seen:
+        for item, quantity, probability in zip(t.items, t.quantities, t.probabilities):
+            if item in seen:
                 violations.append(
-                    Violation("duplicate item in transaction", tid=t.tid, item=occ.item)
+                    Violation("duplicate item in transaction", tid=t.tid, item=item)
                 )
-            seen.add(occ.item)
-            if occ.quantity < 1:
+            seen.add(item)
+            if quantity < 1:
                 violations.append(
-                    Violation(f"quantity {occ.quantity} below 1", tid=t.tid, item=occ.item)
+                    Violation(f"quantity {quantity} below 1", tid=t.tid, item=item)
                 )
-            if not 0.0 < occ.probability <= 1.0:
+            if not 0.0 < probability <= 1.0:
                 violations.append(
                     Violation(
-                        f"probability {occ.probability} outside (0, 1]",
+                        f"probability {probability} outside (0, 1]",
                         tid=t.tid,
-                        item=occ.item,
+                        item=item,
                     )
                 )
-            if occ.item not in db.unit_utilities:
-                violations.append(
-                    Violation("missing utility entry", tid=t.tid, item=occ.item)
-                )
-            elif occ.item not in seen_universe:
-                violations.append(
-                    Violation("item not in universe", tid=t.tid, item=occ.item)
-                )
+            if item not in utilities:
+                violations.append(Violation("missing utility entry", tid=t.tid, item=item))
+            elif item not in seen_universe:
+                violations.append(Violation("item not in universe", tid=t.tid, item=item))
             else:
-                recomputed += occ.quantity * db.unit_utilities[occ.item]
-        if all(occ.item in db.unit_utilities for occ in t.occurrences):
+                recomputed += quantity * utilities[item]
+        if all(item in utilities for item in t.items):
             if not (math.isfinite(recomputed) and math.isfinite(t.tu)):
                 violations.append(
                     Violation("transaction utility is not a finite number", tid=t.tid)

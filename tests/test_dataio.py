@@ -1,7 +1,10 @@
+import gc
+
 import pytest
 
 from occumine import (
     GeneratorConfig,
+    ItemOccurrence,
     MissingUtilityError,
     ParseError,
     Thresholds,
@@ -14,7 +17,7 @@ from occumine import (
 )
 from occumine.dataio import parse_utilities
 
-from conftest import TEST_DATA_DIR
+from conftest import EXAMPLE_TRANSACTIONS, EXAMPLE_UTILITIES, TEST_DATA_DIR
 
 UTILITY_TEXT = "a 7\nc 11\nd 1\n"
 
@@ -99,6 +102,37 @@ def test_unknown_item_raises_missing_utility():
     with pytest.raises(MissingUtilityError) as info:
         parse_database("q:1:0.5\n", UTILITY_TEXT)
     assert info.value.item == "q"
+
+
+def test_invalid_unknown_item_is_a_parse_error_at_its_column():
+    # The id check runs only for items without a utility entry; an id that
+    # is both invalid and unknown must still fail as an invalid id.
+    with pytest.raises(ParseError) as info:
+        parse_database("a:1:0.5 q-x:1:0.5\n", UTILITY_TEXT)
+    assert (info.value.line, info.value.column) == (1, 9)
+    assert "invalid item id 'q-x'" in str(info.value)
+
+
+def test_parsed_columns_are_not_gc_tracked(example_db):
+    gc.collect()
+    for t in example_db.transactions:
+        for column in (t.items, t.quantities, t.probabilities):
+            assert type(column) is tuple
+            assert not gc.is_tracked(column)
+
+
+def test_occurrences_view_matches_tokens():
+    text = EXAMPLE_TRANSACTIONS.read_text()
+    db = parse_database(text, EXAMPLE_UTILITIES.read_text())
+    lines = [line for line in text.splitlines() if line.strip() and not line.startswith("#")]
+    assert len(lines) == len(db)
+    for line, t in zip(lines, db.transactions):
+        expected = []
+        for token in line.split():
+            item, quantity, probability = token.split(":")
+            expected.append(ItemOccurrence(item, int(quantity), float(probability)))
+        assert t.occurrences == tuple(expected)
+        assert len(t) == len(expected)
 
 
 def test_bad_utility_lines():

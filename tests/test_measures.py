@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -99,6 +100,30 @@ def test_total_order(example_db):
     assert order.items == ("e", "a", "b", "d", "c")
     # a and b tie at support 5; ascending id puts a first
     assert order.rank["a"] < order.rank["b"]
+
+
+def _bench_db():
+    return generate(
+        GeneratorConfig(
+            seed=7,
+            num_transactions=10_000,
+            num_items=200,
+            avg_transaction_length=8.0,
+            max_quantity=5,
+            max_unit_utility=30,
+            prob_min=0.3,
+            prob_max=0.95,
+        )
+    )
+
+
+@pytest.mark.parametrize("make_db", [None, _bench_db], ids=["example", "bench"])
+def test_total_order_with_given_counts_matches_recount(example_db, make_db):
+    db = example_db if make_db is None else make_db()
+    counts = collections.Counter(item for t in db.transactions for item in t.items)
+    every = db.item_universe
+    for promising in (every, every[::3]):
+        assert total_order(db, promising, counts) == total_order(db, promising)
 
 
 def test_total_order_single_item(example_db):

@@ -144,7 +144,9 @@ def test_strategy_presets():
 
 def test_mine_rejects_invalid_database(example_db):
     t1 = example_db.transactions[0]
-    tampered = (Transaction(1, t1.occurrences, 64.0),) + example_db.transactions[1:]
+    tampered = (
+        Transaction(1, t1.items, t1.quantities, t1.probabilities, 64.0),
+    ) + example_db.transactions[1:]
     db = type(example_db)(tampered, example_db.unit_utilities, example_db.item_universe)
     with pytest.raises(DatabaseValidationError):
         mine(db, Thresholds(0.5, 0.5, 0.5))

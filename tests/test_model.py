@@ -6,7 +6,7 @@ from occumine import (
     build_database,
     validate_database,
 )
-from occumine.model import Transaction, min_support_count
+from occumine.model import ItemOccurrence, Transaction, min_support_count
 
 EXPECTED_TU = [65, 37, 38, 11, 49, 58, 23, 61, 59, 42]
 
@@ -31,7 +31,7 @@ def test_zero_probability_is_flagged():
 def test_tu_mismatch_is_flagged(example_db):
     t1 = example_db.transactions[0]
     tampered = example_db.transactions[:0] + (
-        Transaction(1, t1.occurrences, 64.0),
+        Transaction(1, t1.items, t1.quantities, t1.probabilities, 64.0),
     ) + example_db.transactions[1:]
     db = type(example_db)(tampered, example_db.unit_utilities, example_db.item_universe)
     violations = validate_database(db)
@@ -48,12 +48,36 @@ def test_non_finite_utility_is_flagged():
 
 def test_duplicate_item_and_missing_utility_are_flagged():
     db = build_database([[("a", 1, 0.5)]], {"a": 2.0, "b": 1.0})
-    occurrences = db.transactions[0].occurrences * 2
-    bad = Transaction(1, occurrences, 4.0)
+    t = db.transactions[0]
+    bad = Transaction(1, t.items * 2, t.quantities * 2, t.probabilities * 2, 4.0)
     tampered = type(db)((bad,), {"b": 1.0}, ("a",))
     messages = [v.message for v in validate_database(tampered)]
     assert any("duplicate item" in m for m in messages)
     assert any("missing utility" in m for m in messages)
+
+
+def test_column_length_mismatch_is_flagged(example_db):
+    t1 = example_db.transactions[0]
+    ragged = Transaction(1, t1.items, t1.quantities[:-1], t1.probabilities, t1.tu)
+    db = type(example_db)(
+        (ragged,) + example_db.transactions[1:],
+        example_db.unit_utilities,
+        example_db.item_universe,
+    )
+    first = validate_database(db)[0]
+    assert (first.tid, first.message) == (1, "columns differ in length")
+
+
+def test_build_database_transposes_rows():
+    db = build_database([[("a", 2, 0.5), ("b", 1, 1.0)], []], {"a": 3.0, "b": 4.0})
+    t1, t2 = db.transactions
+    assert (t1.items, t1.quantities, t1.probabilities, t1.tu) == (
+        ("a", "b"), (2, 1), (0.5, 1.0), 10.0
+    )
+    assert (t2.items, t2.quantities, t2.probabilities, t2.tu) == ((), (), (), 0.0)
+    assert t1.occurrences == (ItemOccurrence("a", 2, 0.5), ItemOccurrence("b", 1, 1.0))
+    assert t1.by_item["b"] == ItemOccurrence("b", 1, 1.0)
+    assert t1.item_set == frozenset({"a", "b"})
 
 
 def test_tid_gap_is_flagged(example_db):

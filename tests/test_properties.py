@@ -1,4 +1,5 @@
-"""Generated-input properties: miner equals oracle, and the CLI never raises."""
+"""Generated-input properties: miner equals oracle, the parser only accepts
+valid databases, and the CLI never raises."""
 
 import contextlib
 import io
@@ -8,7 +9,16 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from occumine import PRESETS, ParseError, Thresholds, mine, oracle_mine, parse_database
+from occumine import (
+    PRESETS,
+    MissingUtilityError,
+    ParseError,
+    Thresholds,
+    mine,
+    oracle_mine,
+    parse_database,
+    validate_database,
+)
 from occumine.cli import main
 
 ITEMS = "abcde"
@@ -127,3 +137,60 @@ def test_mine_cli_never_raises_on_fuzzed_text(tmp_path, texts):
     ]
     with contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 1)
+
+
+@st.composite
+def parser_inputs(draw):
+    """Well-formed transactions and utility text with at most one invariant
+    broken: a bad quantity, probability or unit utility, a repeated or
+    unknown item, or a missing utility line."""
+    fault = draw(
+        st.sampled_from(["utility", "quantity", "probability", "repeat", "unknown", "none"])
+    )
+    utilities = {
+        item: draw(st.sampled_from(["1", "2", "0", "1e-300", "1e308"])) for item in ITEMS[:3]
+    }
+    token = st.tuples(
+        st.sampled_from(ITEMS[:3]),
+        st.sampled_from(["1", "2"]),
+        st.sampled_from(["0.5", "1", "1e-120", "5e-324"]),
+    ).map(list)
+    lines = draw(
+        st.lists(
+            st.lists(token, min_size=1, max_size=3, unique_by=lambda t: t[0]),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    line = draw(st.sampled_from(lines))
+    victim = draw(st.sampled_from(line))
+    if fault == "quantity":
+        victim[1] = draw(st.sampled_from(["0", "-1", "x", "1.5", "", "9" * 400]))
+    elif fault == "probability":
+        victim[2] = draw(st.sampled_from(["0", "-0.5", "1.5", "nan", "inf", "1e-400", "x"]))
+    elif fault == "repeat":
+        line.append([victim[0], draw(st.sampled_from(["1", "3"])), victim[2]])
+    elif fault == "unknown":
+        line.append([draw(st.sampled_from(["d", "q-x", "é"])), "1", "0.5"])
+    elif fault == "utility":
+        value = draw(st.sampled_from(["-1", "nan", "inf", "x", None]))
+        if value is None:
+            del utilities[victim[0]]
+        else:
+            utilities[victim[0]] = value
+    data = "".join(" ".join(map(":".join, tokens)) + "\n" for tokens in lines)
+    utility = "".join(f"{item} {value}\n" for item, value in utilities.items())
+    return data, utility
+
+
+@settings(max_examples=500, deadline=None)
+@given(texts=st.one_of(fuzzed_inputs(), parser_inputs()))
+def test_parser_accepts_only_valid_databases(texts):
+    # CLI mine skips validate_database because the parser enforces every
+    # invariant it checks.
+    data, utility = texts
+    try:
+        db = parse_database(data, utility)
+    except (ParseError, MissingUtilityError):
+        return
+    assert validate_database(db) == []
