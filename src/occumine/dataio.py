@@ -3,15 +3,18 @@
 Two plain-text formats, UTF-8, LF or CRLF accepted, LF written, lines
 starting with ``#`` are comments, final newline optional:
 
-* transactions: one transaction per line, single-space-separated tokens
-  of the form ``item:quantity:probability``; item ids match
-  ``[A-Za-z0-9_]+``, quantities are positive integers, probabilities are
-  decimals in (0, 1].  Tids are implicit: the k-th transaction line gets
-  tid k.
-* utilities: one ``item unit-utility`` pair per line, space-separated,
+* transactions: one transaction per line, tokens of the form
+  ``item:quantity:probability`` separated by any run of whitespace (as
+  ``str.split`` sees it, so tabs and other Unicode whitespace count);
+  item ids match ``[A-Za-z0-9_]+``, quantities are positive integers,
+  probabilities are decimals in (0, 1].  Tids are implicit: the k-th
+  content line (comments and blank lines not counted) gets tid k.
+* utilities: one ``item unit-utility`` pair per line, whitespace-separated,
   unit utilities non-negative.
 
-A transaction's total utility must be positive and finite.
+A transaction's total utility, summed left to right, must be positive
+and finite.  Every error names the file line and, where one token is at
+fault, its 1-based column.
 
 Probabilities are written with however many digits round-trip exactly,
 and the parser accepts full precision, so parse(write(db)) == db.
@@ -24,14 +27,24 @@ import random
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import reduce
+from itertools import accumulate, count, islice, repeat
+from operator import add, mul
 from pathlib import Path
 
 from .errors import MissingUtilityError, ParseError
-from .model import UncertainDatabase, build_database
+from .model import Transaction, UncertainDatabase, build_database
 
 _ITEM_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _TOKEN_RE = re.compile(r"\S+")
+
+#: Content lines per block of :func:`parse_database`.  One block's token
+#: and field lists are all the parser holds beyond the database it
+#: builds, so that overhead does not grow with the input.
+_BLOCK_LINES = 4096
+
+#: One parsed line: items, quantities, probabilities and total utility.
+_Row = tuple[tuple[str, ...], tuple[int, ...], tuple[float, ...], float]
 
 
 def _decode(text: str | bytes) -> str:
@@ -79,17 +92,16 @@ def parse_utilities(utility_text: str | bytes) -> dict[str, float]:
     return utilities
 
 
-def parse_database(
-    transactions_text: str | bytes, utility_text: str | bytes
-) -> UncertainDatabase:
-    """Parse the two text formats into a validated database."""
-    utilities = parse_utilities(utility_text)
+def _parse_tokens(numbered_lines, utilities: dict[str, float]) -> list[_Row]:
+    """Parse content lines token by token: the reference parser.
 
-    # Rows are exact tuples of atomics, which the cyclic GC stops tracking
-    # once they survive a collection, so the full collections a large
-    # input triggers walk O(lines) objects, not O(tokens).
-    rows: list[tuple[tuple[str, int, float], ...]] = []
-    for number, line in _lines(_decode(transactions_text)):
+    ``numbered_lines`` holds ``(line_number, line)`` pairs as
+    :func:`_lines` yields them.  Each check raises on its own token, so
+    an error names the file line and the 1-based column where the
+    offending token starts.  Returns one row per line.
+    """
+    rows: list[_Row] = []
+    for number, line in numbered_lines:
         row: list[tuple[str, int, float]] = []
         seen: set[str] = set()
         tu = 0.0
@@ -144,9 +156,107 @@ def parse_database(
             raise ParseError("transaction total utility is not a finite number", number)
         if tu == 0:
             raise ParseError("transaction has zero total utility", number)
-        rows.append(tuple(row))
+        items, quantities, probabilities = zip(*row)
+        rows.append((items, quantities, probabilities, tu))
+    return rows
 
-    return build_database(rows, utilities)
+
+def _convert_tokens(
+    joined: str, utilities: dict[str, float]
+) -> tuple[tuple, tuple, tuple, tuple] | None:
+    """Convert the tokens of ``joined`` into occurrence columns, or return None.
+
+    Returns exact tuples of the items, quantities and probabilities and of
+    each occurrence's ``quantity * utility``, after the token checks of
+    :func:`_parse_tokens` pass on them all.  The token and field lists die
+    on return, before the caller allocates the objects that trigger
+    garbage collections, so no collection walks them.
+    """
+    tokens = joined.split()
+    if list(map(str.count, tokens, repeat(":"))).count(2) != len(tokens):
+        return None
+    fields = joined.replace(":", " ").split()
+    if len(fields) != 3 * len(tokens):  # an empty item, quantity or probability
+        return None
+    try:
+        items = tuple(fields[0::3])
+        quantities = tuple(map(int, fields[1::3]))
+        probabilities = tuple(map(float, fields[2::3]))
+        products = tuple(map(mul, quantities, map(utilities.__getitem__, items)))
+    except (ValueError, KeyError, OverflowError):
+        return None
+    # Written so that a NaN probability fails.
+    if not (
+        min(quantities) >= 1
+        and all(map((0.0).__lt__, probabilities))
+        and all(map((1.0).__ge__, probabilities))
+    ):
+        return None
+    return items, quantities, probabilities, products
+
+
+def _parse_block(
+    lines: list[str], utilities: dict[str, float]
+) -> tuple[list, list, list, list[float]] | None:
+    """Parse a block of content lines as whole columns, or return None.
+
+    Returns the block's per-line items, quantities, probabilities and
+    total utilities as four parallel lists, equal bit for bit to the rows
+    of :func:`_parse_tokens`: each total is summed left to right as the
+    token loop sums it (``sum`` is compensated on Python 3.12+, so it can
+    differ).  Returns None when any check fails, without saying where;
+    the caller then parses the block token by token to locate the error.
+    """
+    columns = _convert_tokens(" ".join(lines), utilities)
+    if columns is None:
+        return None
+    items, quantities, probabilities, products = columns
+    # Every token has two colons, so a line's colons count its tokens twice.
+    ends = [colons // 2 for colons in accumulate(map(str.count, lines, repeat(":")))]
+    spans = list(map(slice, [0, *ends[:-1]], ends))
+    line_items = list(map(items.__getitem__, spans))
+    totals = list(map(reduce, repeat(add), map(products.__getitem__, spans), repeat(0.0)))
+    if not (
+        sum(map(len, map(set, line_items))) == len(items)  # no line repeats an item
+        and all(map((0.0).__lt__, totals))
+        and all(map(math.inf.__gt__, totals))
+    ):
+        return None
+    return (
+        line_items,
+        list(map(quantities.__getitem__, spans)),
+        list(map(probabilities.__getitem__, spans)),
+        totals,
+    )
+
+
+def parse_database(
+    transactions_text: str | bytes, utility_text: str | bytes
+) -> UncertainDatabase:
+    """Parse the two text formats into a validated database.
+
+    Content lines are converted in blocks of :data:`_BLOCK_LINES`, whole
+    columns at a time (:func:`_parse_block`), so the working set stays one
+    block's tokens however large the input.  A block that fails any check
+    is parsed again by :func:`_parse_tokens`, which raises the error with
+    its line and column.
+    """
+    utilities = parse_utilities(utility_text)
+
+    transactions: list[Transaction] = []
+    universe: set[str] = set()
+    numbered = _lines(_decode(transactions_text))
+    while block := list(islice(numbered, _BLOCK_LINES)):
+        columns = _parse_block([line for _, line in block], utilities)
+        if columns is None:
+            columns = list(zip(*_parse_tokens(block, utilities)))
+        universe.update(*columns[0])
+        transactions.extend(map(Transaction, count(len(transactions) + 1), *columns))
+    return UncertainDatabase(
+        transactions=tuple(transactions),
+        unit_utilities=dict(utilities),
+        item_universe=tuple(sorted(universe)),
+    )
 
 
 def load_database(data_path: str | Path, utility_path: str | Path) -> UncertainDatabase:

@@ -2,12 +2,12 @@
 
 The search keeps a vertical list per visited node and extends a node by
 joining its list with the single-item list of each later sibling's last
-item.  Four pruning strategies are switchable; they only change how much
-of the tree is traversed, never which patterns come out, because every
-emission re-checks all three thresholds.
+item.  Support pruning is always on: a node (and its subtree) whose
+support count is below the minimum is skipped, which is sound because
+support is anti-monotone.  Three more pruning strategies are switchable;
+they only change how much of the tree is traversed, never which patterns
+come out, because every emission re-checks all three thresholds.
 
-* support pruning: skip a node (and its subtree) whose support count is
-  below the minimum, which is sound because support is anti-monotone.
 * occupancy-bound pruning: skip a node's subtree when an upper bound on
   any qualifying descendant's utility occupancy falls below the minimum.
 * probability pruning: skip a node's subtree when its summed probability
@@ -37,22 +37,22 @@ from .model import (
 
 @dataclass(frozen=True)
 class StrategySet:
-    """Which pruning strategies a run may use."""
+    """Which pruning strategies a run may use, besides support pruning,
+    which every run uses."""
 
-    support_prune: bool = True
     bound_prune: bool = True
     probability_prune: bool = True
     join_abort: bool = True
 
 
-#: All four strategies on: the full algorithm.
-FULL = StrategySet(True, True, True, True)
+#: Every strategy on: the full algorithm.
+FULL = StrategySet(True, True, True)
 #: Support and occupancy-bound pruning only.
-S12 = StrategySet(True, True, False, False)
+S12 = StrategySet(True, False, False)
 #: Support and probability pruning only.
-S13 = StrategySet(True, False, True, False)
+S13 = StrategySet(False, True, False)
 #: Support pruning only.
-S1 = StrategySet(True, False, False, False)
+S1 = StrategySet(False, False, False)
 
 PRESETS: dict[str, StrategySet] = {"full": FULL, "s12": S12, "s13": S13, "s1": S1}
 
@@ -102,14 +102,13 @@ class _Search:
                 bound = upper_bound(xa_list, self.min_sup)
                 self.node_trace.append((xa_list.items, bound))
 
-            sc_ok = xa_sum.support >= self.min_sup
             pro_ok = xa_sum.probability >= self.min_pro - TOL
-            if (s.support_prune and not sc_ok) or (s.probability_prune and not pro_ok):
+            if xa_sum.support < self.min_sup or (s.probability_prune and not pro_ok):
                 continue
 
             # Emission re-checks everything: disabling a strategy must
             # never let a non-qualifying pattern through.
-            if sc_ok and pro_ok and xa_sum.occupancy >= self.beta - TOL:
+            if pro_ok and xa_sum.occupancy >= self.beta - TOL:
                 self.found.append(
                     PatternRecord(
                         items=xa_list.items,
@@ -140,7 +139,7 @@ class _Search:
                 if not child_list.tids:
                     continue
                 self.stats.constructed_lists += 1
-                if s.support_prune and child_sum.support < self.min_sup:
+                if child_sum.support < self.min_sup:
                     continue
                 if s.probability_prune and child_sum.probability < self.min_pro - TOL:
                     continue

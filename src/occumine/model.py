@@ -109,6 +109,8 @@ def build_database(
 ) -> UncertainDatabase:
     """Assemble a database from raw (item, quantity, probability) rows.
 
+    Serves the generator, ``augment`` and hand-built databases; the
+    parser builds its transactions straight from its own columns.
     Assigns 1-based tids in row order, transposes each row into the
     transaction's columns and sums its total utility from
     ``unit_utilities`` in the same left-to-right order the parser and

@@ -15,6 +15,7 @@ from occumine import (
     validate_database,
     write_database,
 )
+from occumine import dataio
 from occumine.dataio import parse_utilities
 
 from conftest import EXAMPLE_TRANSACTIONS, EXAMPLE_UTILITIES, TEST_DATA_DIR
@@ -96,6 +97,57 @@ def test_non_finite_total_utility_rejected(data, utilities, column, message):
         parse_database(data, utilities)
     assert (info.value.line, info.value.column) == (2, column)
     assert message in str(info.value)
+
+
+def _token_rows(text, utility_text):
+    """The rows of the per-token reference parser, or the error it raises."""
+    try:
+        return dataio._parse_tokens(dataio._lines(text), parse_utilities(utility_text))
+    except ParseError as error:
+        return error
+
+
+def _multi_block_lines():
+    """Over two blocks of content lines, with comment and blank lines
+    before the first block boundary."""
+    lines = ["# header", "", "a:1:0.5"]
+    for k in range(2 * dataio._BLOCK_LINES + 3):
+        lines.append(f"a:{k % 7 + 1}:0.5 c:2:0.{k % 9 + 1}")
+        if k in (10, 200):
+            lines += ["  # mid-file comment", "\t", ""]
+    return lines
+
+
+def test_multi_block_file_parses_like_token_parser():
+    text = "\n".join(_multi_block_lines())
+    db = parse_database(text, UTILITY_TEXT)
+    rows = _token_rows(text, UTILITY_TEXT)
+    assert len(db) == len(rows) == 2 * dataio._BLOCK_LINES + 4
+    assert [(t.items, t.quantities, t.probabilities, t.tu) for t in db.transactions] == rows
+    # Tids count content lines only.
+    assert [t.tid for t in db.transactions] == list(range(1, len(db) + 1))
+
+
+def test_error_on_first_line_of_second_block_names_file_line_and_column():
+    lines = _multi_block_lines()
+    content = [n for n, line in enumerate(lines) if line.strip() and line.strip()[0] != "#"]
+    bad = content[dataio._BLOCK_LINES]  # the second block's first line, 0-based
+    lines[bad] = "a:1:0.5 c:x:0.5"
+    text = "\n".join(lines)
+    with pytest.raises(ParseError) as info:
+        parse_database(text, UTILITY_TEXT)
+    expected = _token_rows(text, UTILITY_TEXT)
+    assert (info.value.line, info.value.column) == (bad + 1, 9)
+    assert (expected.line, expected.column) == (bad + 1, 9)
+    assert str(info.value) == str(expected)
+
+
+def test_total_utility_is_summed_left_to_right():
+    # 1e16 + 1 rounds back to 1e16, so the left-to-right total is 1e16;
+    # a compensated sum (sum() on Python 3.12+, math.fsum) gives 1e16 + 2.
+    db = parse_database("a:1:1 b:1:1 c:1:1\n", "a 1e16\nb 1\nc 1\n")
+    assert db.transactions[0].tu == 1e16
+    assert validate_database(db) == []
 
 
 def test_unknown_item_raises_missing_utility():

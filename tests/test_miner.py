@@ -128,18 +128,12 @@ def test_probability_pruning_drops_subtree(example_db):
 
 def test_strategy_presets():
     assert PRESETS["full"] == FULL
-    assert FULL.support_prune and FULL.bound_prune
+    assert FULL.bound_prune
     assert FULL.probability_prune and FULL.join_abort
     assert S12 == PRESETS["s12"]
-    assert (S12.support_prune, S12.bound_prune, S12.probability_prune, S12.join_abort) == (
-        True, True, False, False,
-    )
-    assert (S13.support_prune, S13.bound_prune, S13.probability_prune, S13.join_abort) == (
-        True, False, True, False,
-    )
-    assert (S1.support_prune, S1.bound_prune, S1.probability_prune, S1.join_abort) == (
-        True, False, False, False,
-    )
+    assert (S12.bound_prune, S12.probability_prune, S12.join_abort) == (True, False, False)
+    assert (S13.bound_prune, S13.probability_prune, S13.join_abort) == (False, True, False)
+    assert (S1.bound_prune, S1.probability_prune, S1.join_abort) == (False, False, False)
 
 
 def test_mine_rejects_invalid_database(example_db):

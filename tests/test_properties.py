@@ -1,12 +1,14 @@
 """Generated-input properties: miner equals oracle, the parser only accepts
-valid databases, and the CLI never raises."""
+valid databases and agrees with its per-token reference, and the CLI never
+raises."""
 
 import contextlib
 import io
 import sys
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from occumine import (
@@ -14,11 +16,14 @@ from occumine import (
     MissingUtilityError,
     ParseError,
     Thresholds,
+    Transaction,
+    UncertainDatabase,
     mine,
     oracle_mine,
     parse_database,
     validate_database,
 )
+from occumine import dataio
 from occumine.cli import main
 
 ITEMS = "abcde"
@@ -194,3 +199,95 @@ def test_parser_accepts_only_valid_databases(texts):
     except (ParseError, MissingUtilityError):
         return
     assert validate_database(db) == []
+
+
+UTILITY = "a 1\nb 2.5\nc 0\n"
+
+
+@st.composite
+def spelled_inputs(draw):
+    """Transactions text in the spellings the format allows and a few it
+    does not: CRLF, comments and whitespace-only lines, tabs and Unicode
+    whitespace between tokens, unusual integer and float literals, huge
+    quantities, repeated and unknown items, zero-utility lines (item ``c``
+    alone), and tokens with too few or too many colons or an empty field."""
+    clean = draw(st.booleans())
+    quantities = ["1", "2", "+1", "1_0", "٣", "9" * 30]
+    probabilities = ["0.5", "1", "1_0e-1", "5e-324", ".25"]
+    if not clean:
+        quantities += ["0", "9" * 400, "x"]
+        probabilities += ["nan", "inf", "1e-400", "1.5"]
+    items = ["a", "b", "c"] if clean else ["a", "b", "c", "d", "q-x"]
+    space = st.sampled_from([" ", "  ", "\t", "\x0b", "\x1c", "\xa0", "\u2028", " \t"])
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["transaction"] * 4 + ["comment", "blank"]))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# note", "  #a:1:1", "#"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\xa0", "\u2028"])))
+        else:
+            line_items = draw(
+                st.lists(st.sampled_from(items), min_size=1, max_size=4, unique=clean)
+            )
+            fields = []
+            for item in line_items:
+                fields += [
+                    item, draw(st.sampled_from(quantities)), draw(st.sampled_from(probabilities))
+                ]
+            separators = []
+            for _ in line_items:
+                separators += [":", ":", draw(space)]
+            if not clean and draw(st.booleans()):
+                # Misshape the line: swap two neighbouring separators, so that
+                # "a:1:0.5 b:1:0.5" reads "a:1:0.5:b 1:0.5", or empty a field.
+                i = draw(st.integers(0, max(0, len(separators) - 3)))
+                separators[i], separators[i + 1] = separators[i + 1], separators[i]
+                if draw(st.booleans()):
+                    fields[draw(st.integers(0, len(fields) - 1))] = ""
+            line = "".join(map("".join, zip(fields, separators[:-1] + [""])))
+            if draw(st.booleans()):
+                line = draw(space) + line + draw(space)
+            lines.append(line)
+    return newline.join(lines), UTILITY
+
+
+def _outcome(parse, data, utility):
+    """The database ``parse`` returns, or the exception it raises."""
+    try:
+        return parse(data, utility)
+    except (ParseError, MissingUtilityError) as error:
+        return error
+
+
+def _token_parse(data, utility):
+    """``parse_database`` as the per-token reference parser alone does it."""
+    utilities = dataio.parse_utilities(utility)
+    rows = dataio._parse_tokens(dataio._lines(dataio._decode(data)), utilities)
+    transactions = tuple(Transaction(tid, *row) for tid, row in enumerate(rows, start=1))
+    universe = {item for t in transactions for item in t.items}
+    return UncertainDatabase(transactions, dict(utilities), tuple(sorted(universe)))
+
+
+@settings(max_examples=400, deadline=None)
+@example(texts=("a:1:0.5:b 1:0.5\n", UTILITY), block_lines=dataio._BLOCK_LINES)
+@example(texts=("a:1: 0.5:b:1 ::0.5\n", UTILITY), block_lines=dataio._BLOCK_LINES)
+@given(
+    texts=st.one_of(fuzzed_inputs(), parser_inputs(), spelled_inputs()),
+    block_lines=st.sampled_from([1, 2, 3, dataio._BLOCK_LINES]),
+)
+def test_block_parser_equals_token_parser(texts, block_lines):
+    expected = _outcome(_token_parse, *texts)
+    with mock.patch.object(dataio, "_BLOCK_LINES", block_lines):
+        got = _outcome(parse_database, *texts)
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected)
+        assert str(got) == str(expected)
+        assert getattr(got, "line", None) == getattr(expected, "line", None)
+        assert getattr(got, "column", None) == getattr(expected, "column", None)
+    else:
+        assert got == expected
+        assert [t.tu.hex() for t in got.transactions] == [
+            t.tu.hex() for t in expected.transactions
+        ]
