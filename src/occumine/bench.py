@@ -2,8 +2,10 @@
 
 A plan sweeps exactly one of the three thresholds while the other two
 stay fixed, across one or more datasets, strategy presets, and
-repetitions.  Each run is timed around the mine call only, so parsing
-cost never skews preset comparisons.
+repetitions.  Each dataset is parsed once, and ``runtime_ms`` times the
+search only: the ``mine`` call on a parsed database, which never
+validates it again (the parser recorded its verdict).  Neither parsing
+nor validation skews preset comparisons.
 """
 
 from __future__ import annotations

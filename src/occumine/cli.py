@@ -114,8 +114,7 @@ def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
 def _cmd_mine(args: argparse.Namespace) -> int:
     db = load_database(args.data, args.utility)
     thresholds = Thresholds(args.alpha, args.beta, args.gamma)
-    # parse_database enforces every invariant validate_database checks.
-    outcome = mine(db, thresholds, PRESETS[args.strategies], validate=False)
+    outcome = mine(db, thresholds, PRESETS[args.strategies])
     _emit(render_patterns(outcome.patterns, args.format), args.output)
     if args.stats:
         _emit(render_mining_stats(outcome.stats), args.stats)

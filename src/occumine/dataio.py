@@ -239,7 +239,8 @@ def parse_database(
     columns at a time (:func:`_parse_block`), so the working set stays one
     block's tokens however large the input.  A block that fails any check
     is parsed again by :func:`_parse_tokens`, which raises the error with
-    its line and column.
+    its line and column.  The database records an empty validation
+    verdict, so ``mine`` does not validate it again.
     """
     utilities = parse_utilities(utility_text)
 
@@ -252,11 +253,14 @@ def parse_database(
             columns = list(zip(*_parse_tokens(block, utilities)))
         universe.update(*columns[0])
         transactions.extend(map(Transaction, count(len(transactions) + 1), *columns))
-    return UncertainDatabase(
+    db = UncertainDatabase(
         transactions=tuple(transactions),
-        unit_utilities=dict(utilities),
+        unit_utilities=utilities,
         item_universe=tuple(sorted(universe)),
     )
+    # Every line passed the checks validate_database makes.
+    db.record_verdict(())
+    return db
 
 
 def load_database(data_path: str | Path, utility_path: str | Path) -> UncertainDatabase:

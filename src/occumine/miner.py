@@ -74,6 +74,13 @@ def upper_bound(plist: PatternList, min_sup_count: int) -> float:
     values dominates it.  Lists shorter than the minimum still divide by
     ``min_sup_count``: the missing transactions contribute nothing to any
     extension's numerator.
+
+    The search calls this only when the node's summary mean
+    ``occupancy + remaining`` is below the minimum.  A node that gets this
+    far has at least ``min_sup_count`` rows, and the mean of its
+    ``min_sup_count`` largest uo + ruo values is at least the mean over
+    all its rows, which is that summary mean.  So when the summary mean
+    reaches the minimum, so does the bound, and the sort cannot prune.
     """
     if not plist.tids:
         return 0.0
@@ -118,7 +125,9 @@ class _Search:
                     )
                 )
 
-            if s.bound_prune:
+            # The bound is at least occupancy + remaining (see upper_bound),
+            # so only a node whose mean is below beta can be pruned by it.
+            if s.bound_prune and xa_sum.occupancy + xa_sum.remaining < self.beta - TOL:
                 if bound is None:
                     bound = upper_bound(xa_list, self.min_sup)
                 if bound < self.beta - TOL:
@@ -153,7 +162,6 @@ def mine(
     thresholds: Thresholds,
     strategies: StrategySet = FULL,
     *,
-    validate: bool = True,
     node_trace: list[tuple[tuple[str, ...], float]] | None = None,
 ) -> MiningOutcome:
     """Mine every pattern meeting the support, occupancy, and probability
@@ -162,11 +170,17 @@ def mine(
     The result is independent of ``strategies``; only the traversal cost
     recorded in the stats changes.  ``node_trace``, when given, collects
     ``(items, upper_bound)`` for every visited node, for diagnostics.
+
+    Raises :class:`DatabaseValidationError` if ``db`` is invalid.  The
+    check runs only while ``db`` has no verdict recorded, and its result
+    is recorded: a parsed database is never checked here, and a
+    hand-built one is checked once.
     """
-    if validate:
-        violations = validate_database(db)
-        if violations:
-            raise DatabaseValidationError(violations)
+    violations = db.verdict
+    if violations is None:
+        violations = db.record_verdict(validate_database(db))
+    if violations:
+        raise DatabaseValidationError(violations)
 
     stats = MiningStats()
     started = time.perf_counter()

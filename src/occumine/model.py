@@ -4,7 +4,15 @@ A database is a sequence of transactions over string item ids.  Each item
 occurrence carries a purchase quantity (>= 1) and an existential
 probability in (0, 1]; a separate table maps every item to a non-negative
 unit utility.  All model types are frozen dataclasses: instances are
-immutable after construction and safe to share across threads.
+immutable after construction and safe to share across threads.  A
+database stores its utility table as a read-only copy of the mapping it
+was given, so nothing can change it after construction.
+
+A database is checked at most once.  It records the verdict of
+:func:`validate_database` the first time the miner asks for it, and
+``parse_database`` records the empty verdict up front because it
+enforces every invariant the check looks for.  Direct construction and
+``dataclasses.replace`` start with no verdict recorded.
 
 A transaction stores its occurrences as parallel columns (``items``,
 ``quantities``, ``probabilities``), each an exact tuple of strings, ints
@@ -19,9 +27,10 @@ columns on demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 #: Slack for every floating-point comparison against a threshold:
 #: ``x >= t`` is implemented as ``x >= t - TOL`` because repeated list
@@ -87,12 +96,42 @@ class UncertainDatabase:
 
     ``item_universe`` holds the distinct items appearing in transactions,
     sorted by id.  ``unit_utilities`` may contain extra entries for items
-    that never occur; it must cover every item that does.
+    that never occur; it must cover every item that does.  It is stored
+    as a read-only copy, so changing the mapping passed in afterwards
+    changes nothing here.
+
+    ``verdict`` holds the violations :func:`validate_database` found, or
+    ``None`` while none is recorded.  It is not an ``__init__`` argument
+    and takes no part in equality.
     """
 
     transactions: tuple[Transaction, ...]
-    unit_utilities: dict[str, float]
+    unit_utilities: Mapping[str, float]
     item_universe: tuple[str, ...]
+    verdict: tuple[Violation, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "transactions", tuple(self.transactions))
+        object.__setattr__(self, "unit_utilities", MappingProxyType(dict(self.unit_utilities)))
+        object.__setattr__(self, "item_universe", tuple(self.item_universe))
+
+    def record_verdict(self, violations: Iterable[Violation]) -> tuple[Violation, ...]:
+        """Record and return what validating this database found.
+
+        Called by the miner with :func:`validate_database`'s result, and by
+        the parser with no violations.  Sound because every field is
+        immutable: the verdict cannot go stale.
+        """
+        verdict = tuple(violations)
+        object.__setattr__(self, "verdict", verdict)
+        return verdict
+
+    def __reduce__(self):
+        # A read-only mapping cannot be pickled; a copy is rebuilt from a
+        # dict and records no verdict.
+        return type(self), (self.transactions, dict(self.unit_utilities), self.item_universe)
 
     def __len__(self) -> int:
         return len(self.transactions)
@@ -105,7 +144,7 @@ class UncertainDatabase:
 
 def build_database(
     rows: Sequence[Sequence[tuple[str, int, float]]],
-    unit_utilities: dict[str, float],
+    unit_utilities: Mapping[str, float],
 ) -> UncertainDatabase:
     """Assemble a database from raw (item, quantity, probability) rows.
 
@@ -129,7 +168,7 @@ def build_database(
         universe.update(items)
     return UncertainDatabase(
         transactions=tuple(transactions),
-        unit_utilities=dict(unit_utilities),
+        unit_utilities=unit_utilities,
         item_universe=tuple(sorted(universe)),
     )
 
@@ -240,7 +279,8 @@ def validate_database(db: UncertainDatabase) -> list[Violation]:
     """Check every model invariant; an empty list means the database is valid.
 
     Violations are data, not failures: callers that require validity
-    (e.g. the miner) raise on a non-empty result.
+    (e.g. the miner) raise on a non-empty result.  Always runs every
+    check; it neither reads nor records ``db.verdict``.
     """
     violations: list[Violation] = []
 

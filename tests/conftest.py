@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from occumine import load_database
+from occumine import GeneratorConfig, generate, load_database
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = REPO_ROOT / "data"
@@ -16,3 +16,20 @@ EXAMPLE_UTILITIES = DATA_DIR / "example_utilities.txt"
 def example_db():
     """The ten-transaction, five-item example database."""
     return load_database(EXAMPLE_TRANSACTIONS, EXAMPLE_UTILITIES)
+
+
+@pytest.fixture(scope="session")
+def bench_db():
+    """The large sweep database: 10,000 transactions over 200 items."""
+    return generate(
+        GeneratorConfig(
+            seed=7,
+            num_transactions=10_000,
+            num_items=200,
+            avg_transaction_length=8.0,
+            max_quantity=5,
+            max_unit_utility=30,
+            prob_min=0.3,
+            prob_max=0.95,
+        )
+    )

@@ -64,23 +64,6 @@ def corpus():
     return databases
 
 
-@pytest.fixture(scope="module")
-def bench_db():
-    """The large sweep database: 10,000 transactions over 200 items."""
-    return generate(
-        GeneratorConfig(
-            seed=7,
-            num_transactions=10_000,
-            num_items=200,
-            avg_transaction_length=8.0,
-            max_quantity=5,
-            max_unit_utility=30,
-            prob_min=0.3,
-            prob_max=0.95,
-        )
-    )
-
-
 def _itemset_measures(db, max_len):
     """(support, probability, occupancy) per itemset, via direct recomputation."""
     tid_sets = {
@@ -239,7 +222,7 @@ def test_criterion_5_pruning_effectiveness(bench_db):
     for alpha in ALPHA_SWEEP:
         thresholds = Thresholds(alpha, SWEEP_BETA, SWEEP_GAMMA)
         outcomes = {
-            name: mine(bench_db, thresholds, strategies, validate=False)
+            name: mine(bench_db, thresholds, strategies)
             for name, strategies in PRESETS.items()
         }
         visited = {name: o.stats.visited_nodes for name, o in outcomes.items()}
@@ -256,15 +239,15 @@ def test_criterion_6_threshold_monotonicity(bench_db):
     )
 
     alpha_counts = [
-        len(mine(bench_db, Thresholds(a, SWEEP_BETA, SWEEP_GAMMA), validate=False).patterns)
+        len(mine(bench_db, Thresholds(a, SWEEP_BETA, SWEEP_GAMMA)).patterns)
         for a in ALPHA_SWEEP
     ]
     beta_counts = [
-        len(mine(bench_db, Thresholds(0.05, b, SWEEP_GAMMA), validate=False).patterns)
+        len(mine(bench_db, Thresholds(0.05, b, SWEEP_GAMMA)).patterns)
         for b in (0.05, 0.1, 0.15, 0.2, 0.3)
     ]
     gamma_counts = [
-        len(mine(bench_db, Thresholds(0.05, SWEEP_BETA, g), validate=False).patterns)
+        len(mine(bench_db, Thresholds(0.05, SWEEP_BETA, g)).patterns)
         for g in (0.0, 0.02, 0.05, 0.1, 0.2)
     ]
     for counts in (alpha_counts, beta_counts, gamma_counts):

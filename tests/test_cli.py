@@ -201,6 +201,29 @@ def test_bench_inline(capsys):
     assert all(len(counts) == 1 for counts in by_alpha.values())
 
 
+def test_bench_times_no_validation(monkeypatch):
+    import occumine.miner as miner_module
+    from occumine.bench import BenchPlan, run_plan
+
+    calls = []
+
+    def counting(db):
+        calls.append(db)
+        return []
+
+    monkeypatch.setattr(miner_module, "validate_database", counting)
+    plan = BenchPlan(
+        datasets=((str(EXAMPLE_TRANSACTIONS), str(EXAMPLE_UTILITIES)),),
+        alphas=(0.2, 0.3, 0.4),
+        betas=(0.3,),
+        gammas=(0.05,),
+        presets=("full", "s1"),
+    )
+    rows = run_plan(plan)
+    assert len(rows) == 6
+    assert calls == []
+
+
 def test_bench_plan_file(tmp_path, capsys):
     plan = tmp_path / "plan.txt"
     plan.write_text(

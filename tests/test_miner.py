@@ -13,8 +13,11 @@ from occumine import (
     generate,
     mine,
     oracle_mine,
+    parse_database,
     total_order,
     upper_bound,
+    validate_database,
+    write_database,
 )
 from occumine.lists import build_single_item_lists
 from occumine.model import Transaction
@@ -144,6 +147,56 @@ def test_mine_rejects_invalid_database(example_db):
     db = type(example_db)(tampered, example_db.unit_utilities, example_db.item_universe)
     with pytest.raises(DatabaseValidationError):
         mine(db, Thresholds(0.5, 0.5, 0.5))
+
+
+def test_mine_does_not_check_a_parsed_database(example_db, monkeypatch):
+    import occumine.miner as miner_module
+
+    def refuse(db):
+        raise AssertionError("validate_database called on a parsed database")
+
+    monkeypatch.setattr(miner_module, "validate_database", refuse)
+    db = parse_database(*write_database(example_db))
+    assert mine(db, Thresholds(0.3, 0.3, 0.05)).patterns == mine(
+        example_db, Thresholds(0.3, 0.3, 0.05)
+    ).patterns
+
+
+def _counting_validator(monkeypatch):
+    import occumine.miner as miner_module
+
+    calls = []
+
+    def counting(db):
+        calls.append(db)
+        return validate_database(db)
+
+    monkeypatch.setattr(miner_module, "validate_database", counting)
+    return calls
+
+
+def test_mine_rejects_a_tampered_database_every_time(example_db, monkeypatch):
+    calls = _counting_validator(monkeypatch)
+    t1 = example_db.transactions[0]
+    tampered = (
+        Transaction(1, t1.items, t1.quantities, t1.probabilities, 64.0),
+    ) + example_db.transactions[1:]
+    db = type(example_db)(tampered, example_db.unit_utilities, example_db.item_universe)
+    for _ in range(2):
+        with pytest.raises(DatabaseValidationError, match="64.0"):
+            mine(db, Thresholds(0.5, 0.5, 0.5))
+    assert len(calls) == 1
+    assert [v.tid for v in db.verdict] == [1]
+
+
+def test_mine_checks_a_built_database_once(monkeypatch):
+    calls = _counting_validator(monkeypatch)
+    db = build_database([[("a", 1, 0.5), ("b", 2, 0.5)], [("a", 2, 1.0)]], {"a": 1.0, "b": 2.0})
+    first = mine(db, Thresholds(0.5, 0.1, 0.0))
+    second = mine(db, Thresholds(0.5, 0.1, 0.0), S1)
+    assert first.patterns == second.patterns
+    assert len(calls) == 1
+    assert db.verdict == ()
 
 
 def test_mine_empty_database():

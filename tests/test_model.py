@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from occumine import (
@@ -84,6 +88,41 @@ def test_tid_gap_is_flagged(example_db):
     shuffled = example_db.transactions[1:] + example_db.transactions[:1]
     db = type(example_db)(shuffled, example_db.unit_utilities, example_db.item_universe)
     assert any("tid out of sequence" in v.message for v in validate_database(db))
+
+
+def test_unit_utilities_are_read_only(example_db):
+    with pytest.raises(TypeError):
+        example_db.unit_utilities["a"] = 100.0
+    assert example_db.unit_utilities["a"] != 100.0
+
+
+def test_database_copies_the_utility_table():
+    utilities = {"a": 3.0, "b": 1.0}
+    db = build_database([[("a", 1, 0.5), ("b", 2, 0.5)]], utilities)
+    utilities["a"] = -1.0
+    del utilities["b"]
+    assert dict(db.unit_utilities) == {"a": 3.0, "b": 1.0}
+    assert validate_database(db) == []
+
+
+def test_verdict_is_recorded_by_the_parser_only(example_db):
+    assert example_db.verdict == ()
+    built = build_database([[("a", 1, 0.5)]], {"a": 2.0})
+    assert built.verdict is None
+    assert dataclasses.replace(example_db).verdict is None
+    direct = type(example_db)(
+        example_db.transactions, example_db.unit_utilities, example_db.item_universe
+    )
+    assert direct.verdict is None
+    assert direct == example_db  # the verdict takes no part in equality
+
+
+def test_database_pickles_and_copies(example_db):
+    for again in (pickle.loads(pickle.dumps(example_db)), copy.deepcopy(example_db)):
+        assert again == example_db
+        assert again.verdict is None
+        with pytest.raises(TypeError):
+            again.unit_utilities["a"] = 100.0
 
 
 def test_pattern_equality_ignores_order():

@@ -1,6 +1,6 @@
-"""Generated-input properties: miner equals oracle, the parser only accepts
-valid databases and agrees with its per-token reference, and the CLI never
-raises."""
+"""Generated-input properties: miner equals oracle, the occupancy bound is at
+least a list's mean, the parser only accepts valid databases and agrees
+with its per-token reference, and the CLI never raises."""
 
 import contextlib
 import io
@@ -21,10 +21,14 @@ from occumine import (
     mine,
     oracle_mine,
     parse_database,
+    total_order,
+    upper_bound,
     validate_database,
 )
 from occumine import dataio
 from occumine.cli import main
+from occumine.lists import build_single_item_lists, construct
+from occumine.model import TOL
 
 ITEMS = "abcde"
 
@@ -89,6 +93,46 @@ def test_mine_equals_oracle_under_every_preset(db, th):
             assert record.utility_occupancy == pytest.approx(
                 reference.utility_occupancy, abs=1e-6
             )
+
+
+@settings(max_examples=150, deadline=None)
+@given(db=databases(), k=st.integers(min_value=1, max_value=8))
+def test_bound_is_at_least_the_list_mean(db, k):
+    # The search skips the bound's sort when occupancy + remaining reaches
+    # beta.  That is sound only if no list with support >= k has a bound
+    # below this mean.
+    order = total_order(db)
+    singles = build_single_item_lists(db, order)
+    level = list(singles.values())
+    while level:
+        deeper = []
+        for plist, summary in level:
+            if summary.support >= k:
+                assert summary.occupancy + summary.remaining <= upper_bound(plist, k) + TOL
+            if summary.support:
+                later = order.items[order.rank[plist.items[-1]] + 1 :]
+                deeper += [construct(plist, singles[item][0], k) for item in later]
+        level = deeper
+
+
+#: ``(visited_nodes, candidate_joins, constructed_lists, patterns_found)`` of
+#: ``mine(bench_db, ...)``, recorded with the bound sorted at every node:
+#: skipping the sort where it cannot prune must not change them.
+SEARCH_COUNTS = {
+    ((0.05, 0.1, 0.02), "full"): (152, 743, 239, 117),
+    ((0.05, 0.1, 0.02), "s12"): (279, 806, 840, 117),
+    ((0.03, 0.2, 0.0), "full"): (847, 2535, 847, 186),
+    ((0.03, 0.2, 0.0), "s12"): (847, 2535, 2592, 186),
+}
+
+
+@pytest.mark.parametrize("triple,preset", SEARCH_COUNTS)
+def test_bound_gate_keeps_the_search(bench_db, triple, preset):
+    stats = mine(bench_db, Thresholds(*triple), PRESETS[preset]).stats
+    counts = (
+        stats.visited_nodes, stats.candidate_joins, stats.constructed_lists, stats.patterns_found
+    )
+    assert counts == SEARCH_COUNTS[triple, preset]
 
 
 GARBAGE = ["", "x", "a-b", "é", ":", "-1", "0", "1e-400", "nan", "inf", "#", "\t", "\r", "\n"]
@@ -191,8 +235,8 @@ def parser_inputs(draw):
 @settings(max_examples=500, deadline=None)
 @given(texts=st.one_of(fuzzed_inputs(), parser_inputs()))
 def test_parser_accepts_only_valid_databases(texts):
-    # CLI mine skips validate_database because the parser enforces every
-    # invariant it checks.
+    # parse_database records an empty verdict, so mine never validates a
+    # parsed database: the parser must enforce every invariant it checks.
     data, utility = texts
     try:
         db = parse_database(data, utility)
