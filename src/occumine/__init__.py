@@ -29,6 +29,7 @@ from .errors import (
 )
 from .measures import (
     TotalOrder,
+    oracle_measures,
     oracle_mine,
     probability,
     remaining_utility_occupancy,
@@ -81,6 +82,7 @@ __all__ = [
     "generate",
     "load_database",
     "mine",
+    "oracle_measures",
     "oracle_mine",
     "parse_database",
     "probability",

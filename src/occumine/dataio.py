@@ -290,8 +290,8 @@ def write_database(db: UncertainDatabase) -> tuple[str, str]:
     transaction_lines = []
     for t in db.transactions:
         tokens = [
-            f"{occ.item}:{occ.quantity}:{_format_number(occ.probability)}"
-            for occ in t.occurrences
+            f"{item}:{quantity}:{_format_number(p)}"
+            for item, quantity, p in zip(t.items, t.quantities, t.probabilities)
         ]
         transaction_lines.append(" ".join(tokens))
     utility_lines = [

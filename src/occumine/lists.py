@@ -15,17 +15,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from operator import add, mul
-from typing import NamedTuple
 
 from .measures import TotalOrder
 from .model import UncertainDatabase
-
-
-class Entry(NamedTuple):
-    tid: int
-    pro: float
-    uo: float
-    ruo: float
 
 
 @dataclass(frozen=True)
@@ -45,12 +37,6 @@ class PatternList:
     @property
     def support(self) -> int:
         return len(self.tids)
-
-    @property
-    def entries(self) -> tuple[Entry, ...]:
-        """The rows as ``Entry`` tuples; a view for inspection, never used
-        by the search."""
-        return tuple(map(Entry, self.tids, self.pro, self.uo, self.ruo))
 
     @cached_property
     def row_of(self) -> dict[int, int]:

@@ -2,7 +2,11 @@
 
 Everything here recomputes from raw transactions, without the vertical
 list machinery the miner uses, so this module serves as the independent
-ground truth the search is tested against.
+ground truth the search is tested against.  It never imports ``lists``,
+or a fault there would show in miner and oracle alike, unseen.  The
+oracle, :func:`oracle_mine`, is an enumeration, :func:`oracle_measures`,
+that measures every itemset with no threshold, then a filter,
+:func:`oracle_filter`, that holds its only threshold comparisons.
 
 Measure definitions, for a pattern X over a database D:
 
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb, prod
 from typing import Iterable, Mapping
 
 from .errors import EnumerationBudgetError, MissingUtilityError, UndefinedMeasureError
@@ -68,7 +73,7 @@ def total_order(
     if counts is None:
         counts = dict.fromkeys(items, 0)
         for t in db.transactions:
-            for item in t.item_set:
+            for item in t.items:
                 if item in counts:
                     counts[item] += 1
     ordered = tuple(sorted(items, key=lambda i: (counts[i], i)))
@@ -85,7 +90,7 @@ def _as_pattern(pattern: Iterable[str]) -> frozenset[str]:
 def support_count(pattern: Iterable[str], db: UncertainDatabase) -> int:
     """Number of transactions containing every item of the pattern."""
     p = _as_pattern(pattern)
-    return sum(1 for t in db.transactions if p <= t.item_set)
+    return sum(1 for t in db.transactions if p.issubset(t.items))
 
 
 def utility(pattern: Iterable[str], db: UncertainDatabase) -> float:
@@ -96,10 +101,8 @@ def utility(pattern: Iterable[str], db: UncertainDatabase) -> float:
             raise MissingUtilityError(item)
     total = 0.0
     for t in db.transactions:
-        if p <= t.item_set:
-            total += sum(
-                t.by_item[item].quantity * db.unit_utilities[item] for item in p
-            )
+        if p.issubset(t.items):
+            total += sum(q * db.unit_utilities[i] for i, q in zip(t.items, t.quantities) if i in p)
     return total
 
 
@@ -112,8 +115,8 @@ def utility_occupancy(pattern: Iterable[str], db: UncertainDatabase) -> float:
     share_sum = 0.0
     supporting = 0
     for t in db.transactions:
-        if p <= t.item_set:
-            u = sum(t.by_item[item].quantity * db.unit_utilities[item] for item in p)
+        if p.issubset(t.items):
+            u = sum(q * db.unit_utilities[i] for i, q in zip(t.items, t.quantities) if i in p)
             share_sum += u / t.tu
             supporting += 1
     if supporting == 0:
@@ -128,11 +131,8 @@ def probability(pattern: Iterable[str], db: UncertainDatabase) -> float:
     p = _as_pattern(pattern)
     total = 0.0
     for t in db.transactions:
-        if p <= t.item_set:
-            product = 1.0
-            for item in p:
-                product *= t.by_item[item].probability
-            total += product
+        if p.issubset(t.items):
+            total += prod(pr for item, pr in zip(t.items, t.probabilities) if item in p)
     return total
 
 
@@ -149,16 +149,96 @@ def remaining_utility_occupancy(
     denominator but never toward the remaining share.
     """
     p = _as_pattern(pattern)
+    unranked = p.difference(order.rank)
+    if unranked:
+        raise ValueError(f"items not in the total order: {sorted(unranked)}")
     t = db.transaction(tid)
-    if not p <= t.item_set:
+    if not p.issubset(t.items):
         raise ValueError(f"pattern {sorted(p)} is not contained in transaction {tid}")
     last = max(order.rank[item] for item in p)
     tail = 0.0
-    for occ in t.occurrences:
-        rank = order.rank.get(occ.item)
+    for item, quantity in zip(t.items, t.quantities):
+        rank = order.rank.get(item)
         if rank is not None and rank > last:
-            tail += occ.quantity * db.unit_utilities[occ.item] / t.tu
+            tail += quantity * db.unit_utilities[item] / t.tu
     return tail
+
+
+def oracle_measures(
+    db: UncertainDatabase,
+    max_len: int,
+    budget: int = DEFAULT_ENUMERATION_BUDGET,
+) -> dict[frozenset[str], tuple[int, float, float]]:
+    """(support count, probability, utility occupancy) of every itemset of
+    up to ``max_len`` items that some transaction holds, found with no
+    pruning and no threshold, which is the point.  Raises
+    :class:`EnumerationBudgetError`, before any work, if that means
+    examining more than ``budget`` itemsets."""
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    universe = sorted(db.item_universe)
+    lengths = range(1, min(max_len, len(universe)) + 1)
+    examined = 0
+    for length in lengths:
+        examined += comb(len(universe), length)
+        if examined > budget:
+            raise EnumerationBudgetError(budget)
+
+    # item -> {tid: (quantity * unit utility, probability, tu)} over the
+    # transactions holding it, in one pass over the columns.
+    held: dict[str, dict[int, tuple[float, float, float]]] = {item: {} for item in universe}
+    for t in db.transactions:
+        for item, quantity, p in zip(t.items, t.quantities, t.probabilities):
+            held[item][t.tid] = (quantity * db.unit_utilities[item], p, t.tu)
+    # Sums run in a tid-set intersection's iteration order; sets built from
+    # ascending tids one at a time make it, and so the sums, reproducible.
+    tid_sets = {item: frozenset(iter(column)) for item, column in held.items()}
+
+    measures = {}
+    for length in lengths:
+        for itemset in combinations(universe, length):
+            tids = tid_sets[itemset[0]]
+            for item in itemset[1:]:
+                tids = tids & tid_sets[item]
+                if not tids:
+                    break
+            if not tids:
+                continue
+            first, *rest = [held[item] for item in itemset]
+            pro = share_sum = 0.0
+            for tid in tids:
+                u, product, tu = first[tid]
+                for column in rest:
+                    value, p, _ = column[tid]
+                    u += value
+                    product *= p
+                pro += product
+                share_sum += u / tu
+            measures[frozenset(itemset)] = (len(tids), pro, share_sum / len(tids))
+    return measures
+
+
+def oracle_filter(
+    db: UncertainDatabase,
+    thresholds: Thresholds,
+    measures: Mapping[frozenset[str], tuple[int, float, float]],
+) -> list[PatternRecord]:
+    """Records of the itemsets in ``measures`` (:func:`oracle_measures` of
+    ``db``) that pass all thresholds, sorted by their id-sorted item tuple,
+    with items rendered in the mining total order."""
+    n = len(db)
+    min_sup = thresholds.min_support(n)
+    min_pro = thresholds.min_probability(n)
+    order = total_order(db)
+    found = [
+        PatternRecord(order.sort_pattern(itemset), support, pro, uo)
+        for itemset, (support, pro, uo) in measures.items()
+        if support >= min_sup and pro >= min_pro - TOL and uo >= thresholds.beta - TOL
+    ]
+    found.sort(key=PatternRecord.sort_key)
+    return found
 
 
 def oracle_mine(
@@ -167,69 +247,7 @@ def oracle_mine(
     max_len: int,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> list[PatternRecord]:
-    """Exhaustively enumerate itemsets and keep those passing all thresholds.
-
-    Every non-empty itemset over the item universe, up to ``max_len``
-    items, is examined; there is no search-space pruning, which is the
-    point.  Records come back sorted by their id-sorted item tuple, with
-    items rendered in the mining total order.  Raises
-    :class:`EnumerationBudgetError` once more than ``budget`` itemsets
-    have been examined.
-    """
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-
-    n = len(db)
-    min_sup = thresholds.min_support(n)
-    min_pro = thresholds.min_probability(n)
-    order = total_order(db)
-
-    # Per-item tid sets make the containment test a set intersection; the
-    # measures themselves are still recomputed from raw quantities and
-    # probabilities, transaction by transaction.
-    tid_sets: dict[str, frozenset[int]] = {
-        item: frozenset(t.tid for t in db.transactions if item in t.item_set)
-        for item in db.item_universe
-    }
-
-    examined = 0
-    found: list[PatternRecord] = []
-    universe = sorted(db.item_universe)
-    for length in range(1, min(max_len, len(universe)) + 1):
-        for itemset in combinations(universe, length):
-            examined += 1
-            if examined > budget:
-                raise EnumerationBudgetError(budget)
-            tids = tid_sets[itemset[0]]
-            for item in itemset[1:]:
-                tids = tids & tid_sets[item]
-                if not tids:
-                    break
-            if len(tids) < min_sup:
-                continue
-            pro = 0.0
-            share_sum = 0.0
-            for tid in tids:
-                t = db.transactions[tid - 1]
-                product = 1.0
-                u = 0.0
-                for item in itemset:
-                    occ = t.by_item[item]
-                    product *= occ.probability
-                    u += occ.quantity * db.unit_utilities[item]
-                pro += product
-                share_sum += u / t.tu
-            uo = share_sum / len(tids)
-            if pro >= min_pro - TOL and uo >= thresholds.beta - TOL:
-                found.append(
-                    PatternRecord(
-                        items=order.sort_pattern(itemset),
-                        support=len(tids),
-                        probability=pro,
-                        utility_occupancy=uo,
-                    )
-                )
-    found.sort(key=PatternRecord.sort_key)
-    return found
+    """Every itemset of up to ``max_len`` items passing all thresholds:
+    :func:`oracle_filter` over :func:`oracle_measures`, which see.  Both
+    read raw transactions, never ``lists``, to stay independent of the miner."""
+    return oracle_filter(db, thresholds, oracle_measures(db, max_len, budget))

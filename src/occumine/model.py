@@ -20,15 +20,16 @@ or floats.  CPython's cyclic garbage collector stops tracking such tuples
 after the first collection they survive, so a loaded database leaves a
 few GC-tracked objects per transaction rather than one per occurrence,
 and full collections during and after loading stay cheap.
-``Transaction.occurrences`` builds :class:`ItemOccurrence` views from the
-columns on demand.
+Every pass, the oracle's :func:`~occumine.measures.oracle_measures` too,
+zips the columns; a transaction keeps no set or by-item view.  For readers
+outside the package, ``Transaction.occurrences`` builds
+:class:`ItemOccurrence` records from the columns on demand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -62,9 +63,7 @@ class Transaction:
 
     The k-th occurrence is ``items[k]`` bought ``quantities[k]`` times
     with probability ``probabilities[k]``; the three columns have equal
-    length.  Hot passes read the columns directly; ``occurrences``,
-    ``item_set`` and ``by_item`` are conveniences for the oracle, tests
-    and writers.
+    length.
     """
 
     tid: int
@@ -77,14 +76,6 @@ class Transaction:
     def occurrences(self) -> tuple[ItemOccurrence, ...]:
         """The occurrences in column order, built afresh on each access."""
         return tuple(map(ItemOccurrence, self.items, self.quantities, self.probabilities))
-
-    @cached_property
-    def item_set(self) -> frozenset[str]:
-        return frozenset(self.items)
-
-    @cached_property
-    def by_item(self) -> dict[str, ItemOccurrence]:
-        return {occ.item: occ for occ in self.occurrences}
 
     def __len__(self) -> int:
         return len(self.items)

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
 they complete.
 """
 
-import itertools
 import time
 from pathlib import Path
 
@@ -18,13 +17,14 @@ from occumine import (
     generate,
     load_database,
     mine,
-    oracle_mine,
+    oracle_measures,
     parse_database,
     total_order,
     write_database,
 )
 from occumine.cli import main
 from occumine.lists import build_single_item_lists
+from occumine.measures import oracle_filter
 
 from conftest import EXAMPLE_TRANSACTIONS, EXAMPLE_UTILITIES
 
@@ -64,34 +64,10 @@ def corpus():
     return databases
 
 
-def _itemset_measures(db, max_len):
-    """(support, probability, occupancy) per itemset, via direct recomputation."""
-    tid_sets = {
-        item: frozenset(t.tid for t in db.transactions if item in t.item_set)
-        for item in db.item_universe
-    }
-    measures = {}
-    for length in range(1, max_len + 1):
-        for itemset in itertools.combinations(sorted(db.item_universe), length):
-            tids = tid_sets[itemset[0]]
-            for item in itemset[1:]:
-                tids = tids & tid_sets[item]
-            if not tids:
-                continue
-            pro = 0.0
-            share = 0.0
-            for tid in tids:
-                t = db.transactions[tid - 1]
-                product = 1.0
-                u = 0.0
-                for item in itemset:
-                    occ = t.by_item[item]
-                    product *= occ.probability
-                    u += occ.quantity * db.unit_utilities[item]
-                pro += product
-                share += u / t.tu
-            measures[frozenset(itemset)] = (len(tids), pro, share / len(tids))
-    return measures
+@pytest.fixture(scope="module")
+def corpus_measures(corpus):
+    """The oracle's measures of every itemset of each corpus database."""
+    return [oracle_measures(db, len(db.item_universe)) for db in corpus]
 
 
 # --- criteria ---------------------------------------------------------------
@@ -105,7 +81,7 @@ def test_criterion_1_golden_example():
     checks.append([t.tu for t in db.transactions] == [65, 37, 38, 11, 49, 58, 23, 61, 59, 42])
 
     counts = {
-        item: sum(1 for t in db.transactions if item in t.item_set)
+        item: sum(1 for t in db.transactions if item in t.items)
         for item in db.item_universe
     }
     checks.append(counts == {"a": 5, "b": 5, "c": 8, "d": 7, "e": 4})
@@ -114,11 +90,11 @@ def test_criterion_1_golden_example():
     checks.append(order.items == ("e", "a", "b", "d", "c"))
 
     singles = build_single_item_lists(db, order)
-    e_head = singles["e"][0].entries[0]
-    checks.append(e_head.tid == 5)
-    checks.append(abs(e_head.pro - 0.8) < 1e-4)
-    checks.append(abs(e_head.uo - 0.1837) < 1e-4)
-    checks.append(abs(e_head.ruo - 0.8163) < 1e-4)
+    e_list = singles["e"][0]
+    checks.append(e_list.tids[0] == 5)
+    checks.append(abs(e_list.pro[0] - 0.8) < 1e-4)
+    checks.append(abs(e_list.uo[0] - 0.1837) < 1e-4)
+    checks.append(abs(e_list.ruo[0] - 0.8163) < 1e-4)
 
     b_summary = singles["b"][1]
     checks.append(b_summary.support == 5)
@@ -126,7 +102,7 @@ def test_criterion_1_golden_example():
     checks.append(abs(b_summary.occupancy - 0.2192) < 1e-4)
     checks.append(abs(b_summary.remaining - 0.4181) < 1e-4)
 
-    measures = _itemset_measures(db, 2)
+    measures = oracle_measures(db, 2)
     checks.append(abs(measures[frozenset("c")][2] - 0.6468) < 1e-4)
     checks.append(abs(measures[frozenset("c")][1] - 5.4) < 1e-9)
     checks.append(abs(measures[frozenset("ca")][1] - 2.13) < 1e-9)
@@ -137,16 +113,13 @@ def test_criterion_1_golden_example():
     _report(1, "golden example", all(checks))
 
 
-def test_criterion_2_oracle_equivalence(corpus):
+def test_criterion_2_oracle_equivalence(corpus, corpus_measures):
     started = time.perf_counter()
     mismatches = 0
-    for db in corpus:
+    for db, measures in zip(corpus, corpus_measures):
         for triple in CORPUS_TRIPLES:
             thresholds = Thresholds(*triple)
-            expected = {
-                r.pattern: r
-                for r in oracle_mine(db, thresholds, max_len=len(db.item_universe))
-            }
+            expected = {r.pattern: r for r in oracle_filter(db, thresholds, measures)}
             for strategies in PRESETS.values():
                 got = {r.pattern: r for r in mine(db, thresholds, strategies).patterns}
                 if got.keys() != expected.keys():
@@ -164,11 +137,10 @@ def test_criterion_2_oracle_equivalence(corpus):
     _report(2, "oracle equivalence", mismatches == 0 and elapsed < 300.0)
 
 
-def test_criterion_3_bound_dominance(corpus):
+def test_criterion_3_bound_dominance(corpus, corpus_measures):
     violations = 0
-    for db in corpus[:50]:
+    for db, measures in zip(corpus[:50], corpus_measures):
         n = len(db)
-        measures = _itemset_measures(db, len(db.item_universe))
         for triple in CORPUS_TRIPLES:
             thresholds = Thresholds(*triple)
             trace = []
@@ -195,12 +167,11 @@ def test_criterion_3_bound_dominance(corpus):
     _report(3, "occupancy bound dominance", violations == 0)
 
 
-def test_criterion_4_anti_monotonicity(corpus):
+def test_criterion_4_anti_monotonicity(corpus_measures):
     violations = 0
-    for db in corpus:
-        measures = _itemset_measures(db, 6)
+    for measures in corpus_measures:
         for pattern, (support, pro, _) in measures.items():
-            if len(pattern) < 2:
+            if not 2 <= len(pattern) <= 6:
                 continue
             for item in pattern:
                 parent = measures.get(pattern - {item})

@@ -346,7 +346,7 @@ def test_augment_is_deterministic():
 def test_augment_preserves_structure():
     db = augment("1 5 9\n2 5\n9 1\n", AUGMENT_CONFIG)
     assert len(db) == 3
-    assert [sorted(t.item_set) for t in db.transactions] == [
+    assert [sorted(t.items) for t in db.transactions] == [
         ["1", "5", "9"],
         ["2", "5"],
         ["1", "9"],

@@ -22,11 +22,10 @@ def example_singles(example_db):
 
 def test_single_list_of_e(example_singles):
     plist, _ = example_singles["e"]
-    assert [e.tid for e in plist.entries] == [5, 6, 8, 10]
-    first = plist.entries[0]
-    assert first.pro == pytest.approx(0.8, abs=1e-9)
-    assert first.uo == pytest.approx(0.1837, abs=1e-4)
-    assert first.ruo == pytest.approx(0.8163, abs=1e-4)
+    assert plist.tids == [5, 6, 8, 10]
+    assert plist.pro[0] == pytest.approx(0.8, abs=1e-9)
+    assert plist.uo[0] == pytest.approx(0.1837, abs=1e-4)
+    assert plist.ruo[0] == pytest.approx(0.8163, abs=1e-4)
 
 
 def test_summary_of_b(example_singles):
@@ -39,14 +38,14 @@ def test_summary_of_b(example_singles):
 
 def test_last_item_has_zero_remaining(example_singles):
     plist, summary = example_singles["c"]
-    assert all(e.ruo == 0.0 for e in plist.entries)
+    assert all(ruo == 0.0 for ruo in plist.ruo)
     assert summary.remaining == 0.0
 
 
 def test_summaries_match_recomputation(example_singles):
     for plist, summary in example_singles.values():
         again = summarize(plist)
-        assert again.support == summary.support == len(plist.entries)
+        assert again.support == summary.support == len(plist.tids)
         assert again.probability == pytest.approx(summary.probability, abs=1e-9)
         assert again.occupancy == pytest.approx(summary.occupancy, abs=1e-9)
         assert again.remaining == pytest.approx(summary.remaining, abs=1e-9)
@@ -57,11 +56,10 @@ def test_construct_first_level(example_singles):
     assert joined is not None
     plist, summary = joined
     assert plist.items == ("e", "a")
-    assert [e.tid for e in plist.entries] == [5, 8]
-    t5 = plist.entries[0]
-    assert t5.pro == pytest.approx(0.72, abs=1e-9)
-    assert t5.uo == pytest.approx(0.3265, abs=1e-4)
-    assert t5.ruo == pytest.approx(0.6735, abs=1e-4)
+    assert plist.tids == [5, 8]
+    assert plist.pro[0] == pytest.approx(0.72, abs=1e-9)
+    assert plist.uo[0] == pytest.approx(0.3265, abs=1e-4)
+    assert plist.ruo[0] == pytest.approx(0.6735, abs=1e-4)
     assert summary.support == 2
 
 
@@ -88,7 +86,7 @@ def test_abort_flag_never_changes_contents(example_singles):
             example_singles[a][0], example_singles[b][0], 1, join_abort=True
         )
         # min support 1 can never trigger the abort on non-disjoint lists
-        if plain[0].entries:
+        if plain[0].tids:
             assert aborting is not None
             assert aborting[0] == plain[0]
 
@@ -97,9 +95,9 @@ def test_joined_remaining_comes_from_later_operand(example_singles):
     a_list = example_singles["a"][0]
     d_list = example_singles["d"][0]
     joined, _ = construct(a_list, d_list, 1)
-    d_by_tid = {e.tid: e for e in d_list.entries}
-    for entry in joined.entries:
-        assert entry.ruo == d_by_tid[entry.tid].ruo
+    d_ruo = dict(zip(d_list.tids, d_list.ruo))
+    for tid, ruo in zip(joined.tids, joined.ruo):
+        assert ruo == d_ruo[tid]
 
 
 def _chain_lists(db):
@@ -115,7 +113,7 @@ def _chain_lists(db):
                 if xb.items[:-1] != xa.items[:-1]:
                     continue
                 joined = construct(xa, singles[xb.items[-1]][0], 1)
-                if joined and joined[0].entries:
+                if joined and joined[0].tids:
                     next_level.append(joined[0])
         level = next_level
 
@@ -142,17 +140,17 @@ def test_join_fidelity_against_direct_measures(seed):
         assert plist.bits == sum(1 << tid for tid in plist.tids)
         assert summary.probability == pytest.approx(probability(items, db), abs=1e-9)
         assert summary.occupancy == pytest.approx(utility_occupancy(items, db), abs=1e-9)
-        for entry in plist.entries:
-            t = db.transactions[entry.tid - 1]
+        for tid, list_pro, list_uo, list_ruo in zip(plist.tids, plist.pro, plist.uo, plist.ruo):
+            t = db.transactions[tid - 1]
             pro = 1.0
             u = 0.0
             for item in items:
-                occ = t.by_item[item]
-                pro *= occ.probability
-                u += occ.quantity * db.unit_utilities[item]
-            assert entry.pro == pytest.approx(pro, abs=1e-9)
-            assert entry.uo == pytest.approx(u / t.tu, abs=1e-9)
-            assert entry.ruo == pytest.approx(
-                remaining_utility_occupancy(items, entry.tid, db, order), abs=1e-9
+                k = t.items.index(item)
+                pro *= t.probabilities[k]
+                u += t.quantities[k] * db.unit_utilities[item]
+            assert list_pro == pytest.approx(pro, abs=1e-9)
+            assert list_uo == pytest.approx(u / t.tu, abs=1e-9)
+            assert list_ruo == pytest.approx(
+                remaining_utility_occupancy(items, tid, db, order), abs=1e-9
             )
-            assert entry.uo + entry.ruo <= 1.0 + 1e-9
+            assert list_uo + list_ruo <= 1.0 + 1e-9

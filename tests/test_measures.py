@@ -95,6 +95,12 @@ def test_remaining_requires_containment(example_db):
         remaining_utility_occupancy({"e"}, 1, example_db, order)
 
 
+def test_remaining_requires_ranked_items(example_db):
+    order = total_order(example_db, ["a", "b"])
+    with pytest.raises(ValueError, match=r"not in the total order: \['c'\]"):
+        remaining_utility_occupancy({"c"}, 1, example_db, order)
+
+
 def test_total_order(example_db):
     order = total_order(example_db)
     assert order.items == ("e", "a", "b", "d", "c")
@@ -215,12 +221,11 @@ def test_per_transaction_share_bounds(seed):
     db = _random_db(seed)
     order = total_order(db)
     for t in db.transactions:
-        items = sorted(t.item_set)
+        items = sorted(t.items)
+        quantity = dict(zip(t.items, t.quantities))
         for length in (1, 2, min(3, len(items))):
             for itemset in itertools.combinations(items, length):
-                u = sum(
-                    t.by_item[i].quantity * db.unit_utilities[i] for i in itemset
-                )
+                u = sum(quantity[i] * db.unit_utilities[i] for i in itemset)
                 share = u / t.tu
                 assert 0.0 < share <= 1.0 + 1e-9
                 ruo = remaining_utility_occupancy(itemset, t.tid, db, order)

@@ -38,7 +38,7 @@ def test_upper_bound_short_list(example_db):
     order = total_order(example_db)
     singles = build_single_item_lists(example_db, order)
     e_list = singles["e"][0]
-    total = sum(entry.uo + entry.ruo for entry in e_list.entries)
+    total = sum(uo + ruo for uo, ruo in zip(e_list.uo, e_list.ruo))
     assert upper_bound(e_list, 9) == pytest.approx(total / 9, abs=1e-12)
 
 

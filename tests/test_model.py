@@ -80,8 +80,6 @@ def test_build_database_transposes_rows():
     )
     assert (t2.items, t2.quantities, t2.probabilities, t2.tu) == ((), (), (), 0.0)
     assert t1.occurrences == (ItemOccurrence("a", 2, 0.5), ItemOccurrence("b", 1, 1.0))
-    assert t1.by_item["b"] == ItemOccurrence("b", 1, 1.0)
-    assert t1.item_set == frozenset({"a", "b"})
 
 
 def test_tid_gap_is_flagged(example_db):

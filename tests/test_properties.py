@@ -1,6 +1,7 @@
-"""Generated-input properties: miner equals oracle, the occupancy bound is at
-least a list's mean, the parser only accepts valid databases and agrees
-with its per-token reference, and the CLI never raises."""
+"""Generated-input properties: miner equals oracle, the oracle's enumeration
+agrees with the per-pattern measures, the occupancy bound is at least a
+list's mean, the parser only accepts valid databases and agrees with its
+per-token reference, and the CLI never raises."""
 
 import contextlib
 import io
@@ -19,10 +20,14 @@ from occumine import (
     Transaction,
     UncertainDatabase,
     mine,
+    oracle_measures,
     oracle_mine,
     parse_database,
+    probability,
+    support_count,
     total_order,
     upper_bound,
+    utility_occupancy,
     validate_database,
 )
 from occumine import dataio
@@ -93,6 +98,19 @@ def test_mine_equals_oracle_under_every_preset(db, th):
             assert record.utility_occupancy == pytest.approx(
                 reference.utility_occupancy, abs=1e-6
             )
+
+
+@settings(max_examples=150, deadline=None)
+@given(db=databases())
+def test_enumeration_equals_per_pattern_measures(db):
+    # Two computations of the same measures: one pass over all itemsets by
+    # tid-set intersection, and one scan of the database per pattern.
+    measures = oracle_measures(db, max_len=len(ITEMS))
+    assert len(measures) >= len(db.item_universe)
+    for itemset, (support, pro, uo) in measures.items():
+        assert support == support_count(itemset, db)
+        assert abs(pro - probability(itemset, db)) <= TOL
+        assert abs(uo - utility_occupancy(itemset, db)) <= TOL
 
 
 @settings(max_examples=150, deadline=None)
