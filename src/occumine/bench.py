@@ -65,6 +65,11 @@ class BenchPlan:
                 )
         if self.repetitions < 1:
             raise PlanError("repetitions must be >= 1")
+        for point in self.sweep_points():
+            try:
+                Thresholds(*point)
+            except ValueError as exc:
+                raise PlanError(f"bad sweep point {point}: {exc}") from None
 
     def sweep_points(self) -> Iterator[tuple[float, float, float]]:
         for alpha in self.alphas:

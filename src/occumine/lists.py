@@ -4,17 +4,19 @@ Each pattern owns a columnar list: parallel columns ``tids``, ``pro``,
 ``uo`` and ``ruo`` hold, per supporting transaction, the tid, the
 pattern's existence probability, its utility share and the remaining
 utility share there; ``bits`` is the set of tids as an int bitset.  Lists
-for single items are built in one database pass.  Every longer pattern's
-list is derived by joining its prefix's list with the single-item list of
-the item that extends it, so k-itemsets never touch the database again.
+for single items are filled from columns read in one database pass.
+Every longer pattern's list is derived by joining its prefix's list with
+the single-item list of the item that extends it, so k-itemsets never
+touch the database again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from operator import add, mul
+from typing import Iterable
 
 from .measures import TotalOrder
 from .model import UncertainDatabase
@@ -73,48 +75,51 @@ def _bitset(tids: list[int]) -> int:
     return int.from_bytes(buf, "little")
 
 
-def build_single_item_lists(
-    db: UncertainDatabase, order: TotalOrder
-) -> dict[str, tuple[PatternList, PatternSummary]]:
-    """Build the vertical list of every ranked item in one database pass.
+#: Per item, the parallel columns ``(tids, pro, uo)`` of its occurrences.
+ItemColumns = dict[str, tuple[list[int], list[float], list[float]]]
 
-    An item's per-transaction uo is quantity * unit utility / tu; its ruo
-    sums the uo of ranked items after it in the same transaction.  Items
-    outside ``order`` still contribute to tu (it was computed over the
-    whole transaction) but never to any ruo.
+
+def item_columns(db: UncertainDatabase, items: Iterable[str]) -> ItemColumns:
+    """Read, in one pass over ``db``, every occurrence of ``items``.
+
+    Each item gets ascending tids, its probability there, and its uo,
+    quantity * unit utility / tu, there.  Occurrences of other items are
+    skipped; they still count in tu, which covers the whole transaction.
     """
-    rank = order.rank
     utilities = db.unit_utilities
-    columns: dict[str, tuple[list, list, list, list]] = {
-        item: ([], [], [], []) for item in order.items
-    }
-
+    columns: ItemColumns = {item: ([], [], []) for item in items}
     for t in db.transactions:
         tid, tu = t.tid, t.tu
-        # Ranks are distinct, so the tuples sort by rank alone.
-        present = sorted(
-            [
-                (rank[item], item, quantity * utilities[item] / tu, p)
-                for item, quantity, p in zip(t.items, t.quantities, t.probabilities)
-                if item in rank
-            ],
-            reverse=True,
-        )
-        tail = 0.0
-        for _, item, share, p in present:
-            tids, pro, uo, ruo = columns[item]
-            tids.append(tid)
-            pro.append(p)
-            uo.append(share)
-            ruo.append(tail)
-            tail += share
+        for item, quantity, p in zip(t.items, t.quantities, t.probabilities):
+            if item in columns:
+                tids, pro, uo = columns[item]
+                tids.append(tid)
+                pro.append(p)
+                uo.append(quantity * utilities[item] / tu)
+    return columns
 
+
+def build_single_item_lists(
+    columns: ItemColumns, order: TotalOrder
+) -> dict[str, tuple[PatternList, PatternSummary]]:
+    """The vertical list of every ranked item, from :func:`item_columns`.
+
+    An item's ruo sums the uo of the ranked items after it in the same
+    transaction; items outside ``order`` never count.  Items are walked
+    from the last rank to the first, and ``tail[tid]`` sums the uo of
+    those already walked: each tail takes the same additions, in the same
+    order, as a left-to-right sum over a transaction's ranked occurrences
+    in descending rank, so ruo is bit-identical to that sum.
+    """
+    tail: dict[int, float] = {}
     result: dict[str, tuple[PatternList, PatternSummary]] = {}
-    for item in order.items:
-        tids, pro, uo, ruo = columns[item]
+    for item in reversed(order.items):
+        tids, pro, uo = columns[item]
+        ruo = list(map(tail.get, tids, repeat(0.0)))
+        tail.update(zip(tids, map(add, ruo, uo)))
         plist = PatternList((item,), tids, pro, uo, ruo, _bitset(tids))
         result[item] = (plist, summarize(plist))
-    return result
+    return dict(reversed(result.items()))
 
 
 def construct(

@@ -25,8 +25,9 @@ Measure definitions, for a pattern X over a database D:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, prod
 from typing import Iterable, Mapping
 
@@ -63,19 +64,15 @@ def total_order(
     universe).  Dropping items never reorders the rest, so orders built
     over different promising sets agree on their intersection.
     ``counts``, when given, must hold the support count of every ranked
-    item (the miner passes the counts of its first pass); otherwise they
-    are counted here from the transactions.
+    item (the miner passes its own); otherwise they are counted here
+    from the transactions.
     """
     items = set(db.item_universe if promising is None else promising)
     unknown = items - set(db.item_universe)
     if unknown:
         raise ValueError(f"items not in database universe: {sorted(unknown)}")
     if counts is None:
-        counts = dict.fromkeys(items, 0)
-        for t in db.transactions:
-            for item in t.items:
-                if item in counts:
-                    counts[item] += 1
+        counts = Counter(chain.from_iterable(t.items for t in db.transactions))
     ordered = tuple(sorted(items, key=lambda i: (counts[i], i)))
     return TotalOrder(rank={item: r for r, item in enumerate(ordered)}, items=ordered)
 

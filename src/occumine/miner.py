@@ -1,12 +1,15 @@
 """Depth-first pattern search over the support-ordered set-enumeration tree.
 
-The search keeps a vertical list per visited node and extends a node by
-joining its list with the single-item list of each later sibling's last
-item.  Support pruning is always on: a node (and its subtree) whose
-support count is below the minimum is skipped, which is sound because
-support is anti-monotone.  Three more pruning strategies are switchable;
-they only change how much of the tree is traversed, never which patterns
-come out, because every emission re-checks all three thresholds.
+The set-up counts item supports, then reads the occurrences of the items
+with the minimum support once, into the columns every single-item list is
+filled from.  The search keeps a vertical list per visited node and
+extends a node by joining its list with the single-item list of each
+later sibling's last item.  Support pruning is always on: a node (and its
+subtree) whose support count is below the minimum is never visited,
+which is sound because support is anti-monotone.  Three more pruning
+strategies are switchable; they only change how much of the tree is
+traversed, never which patterns come out, because every emission
+re-checks the probability and occupancy thresholds.
 
 * occupancy-bound pruning: skip a node's subtree when an upper bound on
   any qualifying descendant's utility occupancy falls below the minimum.
@@ -19,11 +22,13 @@ come out, because every emission re-checks all three thresholds.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import add
 
 from .errors import DatabaseValidationError
-from .lists import PatternList, PatternSummary, build_single_item_lists, construct
+from .lists import PatternList, PatternSummary, build_single_item_lists, construct, item_columns
 from .measures import total_order
 from .model import (
     TOL,
@@ -109,12 +114,9 @@ class _Search:
                 bound = upper_bound(xa_list, self.min_sup)
                 self.node_trace.append((xa_list.items, bound))
 
+            # Roots and children were filtered on this summary's support (and,
+            # under probability pruning, probability); emission re-checks.
             pro_ok = xa_sum.probability >= self.min_pro - TOL
-            if xa_sum.support < self.min_sup or (s.probability_prune and not pro_ok):
-                continue
-
-            # Emission re-checks everything: disabling a strategy must
-            # never let a non-qualifying pattern through.
             if pro_ok and xa_sum.occupancy >= self.beta - TOL:
                 self.found.append(
                     PatternRecord(
@@ -191,33 +193,23 @@ def mine(
         min_sup = thresholds.min_support(n)
         min_pro = thresholds.min_probability(n)
 
-        # Pass 1: support count and summed probability per item.
-        counts: dict[str, int] = {item: 0 for item in db.item_universe}
-        pro_mass: dict[str, float] = {item: 0.0 for item in db.item_universe}
-        for t in db.transactions:
-            for item, p in zip(t.items, t.probabilities):
-                counts[item] += 1
-                pro_mass[item] += p
-
         # Items below the minimum support can head no qualifying pattern,
         # so they are always dropped.  Items below the probability minimum
         # are dropped only under probability pruning; otherwise they stay
         # in the order (and in ruo values) and the final filter handles
-        # them.
+        # them.  An item's probability is summed over the same column, in
+        # the same order, as its list's summary, so both hold one float.
+        counts = Counter(chain.from_iterable(t.items for t in db.transactions))
+        columns = item_columns(db, [i for i in db.item_universe if counts[i] >= min_sup])
         promising = [
             item
-            for item in db.item_universe
-            if counts[item] >= min_sup
-            and (
-                not strategies.probability_prune
-                or pro_mass[item] >= min_pro - TOL
-            )
+            for item, (_, pro, _) in columns.items()
+            if not strategies.probability_prune or sum(pro) >= min_pro - TOL
         ]
 
         if promising:
             order = total_order(db, promising, counts)
-            # Pass 2: one vertical list per promising item, in order.
-            singles = build_single_item_lists(db, order)
+            singles = build_single_item_lists(columns, order)
             stats.constructed_lists += len(singles)
             extensions = [singles[item] for item in order.items]
 

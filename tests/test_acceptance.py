@@ -23,7 +23,7 @@ from occumine import (
     write_database,
 )
 from occumine.cli import main
-from occumine.lists import build_single_item_lists
+from occumine.lists import build_single_item_lists, item_columns
 from occumine.measures import oracle_filter
 
 from conftest import EXAMPLE_TRANSACTIONS, EXAMPLE_UTILITIES
@@ -89,7 +89,7 @@ def test_criterion_1_golden_example():
     order = total_order(db)
     checks.append(order.items == ("e", "a", "b", "d", "c"))
 
-    singles = build_single_item_lists(db, order)
+    singles = build_single_item_lists(item_columns(db, order.items), order)
     e_list = singles["e"][0]
     checks.append(e_list.tids[0] == 5)
     checks.append(abs(e_list.pro[0] - 0.8) < 1e-4)
@@ -150,20 +150,19 @@ def test_criterion_3_bound_dominance(corpus, corpus_measures):
             if not promising:
                 continue
             order = total_order(db, promising)
-            qualifying = [
-                (pattern, m[2])
-                for pattern, m in measures.items()
-                if m[0] >= min_sup and pattern <= set(promising)
-            ]
+            # A node bounds a pattern when the pattern adds to it only items
+            # ranked after its last: exactly when the node, in rank order,
+            # is a proper prefix of the pattern in rank order.
+            by_prefix = {}
+            for pattern, (support, _, occupancy) in measures.items():
+                if support >= min_sup and pattern <= set(promising):
+                    ranked = order.sort_pattern(pattern)
+                    for k in range(1, len(ranked)):
+                        by_prefix.setdefault(ranked[:k], []).append(occupancy)
             for items, bound in trace:
-                node = frozenset(items)
-                last = max(order.rank[item] for item in items)
-                for pattern, occupancy in qualifying:
-                    if node < pattern and all(
-                        order.rank[item] > last for item in pattern - node
-                    ):
-                        if occupancy > bound + 1e-9:
-                            violations += 1
+                for occupancy in by_prefix.get(order.sort_pattern(items), ()):
+                    if occupancy > bound + 1e-9:
+                        violations += 1
     _report(3, "occupancy bound dominance", violations == 0)
 
 

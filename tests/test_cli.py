@@ -253,6 +253,30 @@ def test_bench_rejects_two_varying_lists(capsys):
     assert "at most one" in err
 
 
+def test_bench_out_of_range_sweep_point_exits_2(capsys):
+    code, _, err = run(
+        ["bench", *EXAMPLE_FLAGS, "--alphas", "0.3,1.5", "--betas", "0.3",
+         "--gammas", "0.05"],
+        capsys,
+    )
+    assert code == 2
+    assert "alpha must be in (0, 1]" in err
+
+
+def test_bench_plan_file_nan_threshold_exits_2(tmp_path, capsys):
+    plan = tmp_path / "plan.txt"
+    plan.write_text(
+        f"data = {EXAMPLE_TRANSACTIONS}\n"
+        f"utility = {EXAMPLE_UTILITIES}\n"
+        "alphas = nan\n"
+        "betas = 0.3\n"
+        "gammas = 0.05\n"
+    )
+    code, _, err = run(["bench", "--plan", str(plan)], capsys)
+    assert code == 2
+    assert "alpha must be in (0, 1], got nan" in err
+
+
 def test_bench_gamma_sweep_row_counts(capsys):
     code, out, _ = run(
         ["bench", *EXAMPLE_FLAGS, "--alphas", "0.3", "--betas", "0.3",

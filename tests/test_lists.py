@@ -11,13 +11,13 @@ from occumine import (
     total_order,
     utility_occupancy,
 )
-from occumine.lists import build_single_item_lists, construct, summarize
+from occumine.lists import build_single_item_lists, construct, item_columns, summarize
 
 
 @pytest.fixture(scope="module")
 def example_singles(example_db):
     order = total_order(example_db)
-    return build_single_item_lists(example_db, order)
+    return build_single_item_lists(item_columns(example_db, order.items), order)
 
 
 def test_single_list_of_e(example_singles):
@@ -103,7 +103,7 @@ def test_joined_remaining_comes_from_later_operand(example_singles):
 def _chain_lists(db):
     """Join every reachable pattern's list, mirroring the search order."""
     order = total_order(db)
-    singles = build_single_item_lists(db, order)
+    singles = build_single_item_lists(item_columns(db, order.items), order)
     level = [singles[item][0] for item in order.items]
     while level:
         next_level = []

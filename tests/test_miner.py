@@ -19,7 +19,7 @@ from occumine import (
     validate_database,
     write_database,
 )
-from occumine.lists import build_single_item_lists
+from occumine.lists import build_single_item_lists, item_columns
 from occumine.model import Transaction
 
 
@@ -29,14 +29,14 @@ def _records_by_pattern(records):
 
 def test_upper_bound_values(example_db):
     order = total_order(example_db)
-    singles = build_single_item_lists(example_db, order)
+    singles = build_single_item_lists(item_columns(example_db, order.items), order)
     assert upper_bound(singles["b"][0], 3) == pytest.approx(0.8911, abs=1e-4)
     assert upper_bound(singles["c"][0], 3) == pytest.approx(0.8780, abs=1e-4)
 
 
 def test_upper_bound_short_list(example_db):
     order = total_order(example_db)
-    singles = build_single_item_lists(example_db, order)
+    singles = build_single_item_lists(item_columns(example_db, order.items), order)
     e_list = singles["e"][0]
     total = sum(uo + ruo for uo, ruo in zip(e_list.uo, e_list.ruo))
     assert upper_bound(e_list, 9) == pytest.approx(total / 9, abs=1e-12)

@@ -1,7 +1,8 @@
 """Generated-input properties: miner equals oracle, the oracle's enumeration
 agrees with the per-pattern measures, the occupancy bound is at least a
-list's mean, the parser only accepts valid databases and agrees with its
-per-token reference, and the CLI never raises."""
+list's mean, single-item lists under an order over some of the items
+hold the direct measures, the parser only accepts valid databases and
+agrees with its per-token reference, and the CLI never raises."""
 
 import contextlib
 import io
@@ -24,6 +25,7 @@ from occumine import (
     oracle_mine,
     parse_database,
     probability,
+    remaining_utility_occupancy,
     support_count,
     total_order,
     upper_bound,
@@ -32,7 +34,7 @@ from occumine import (
 )
 from occumine import dataio
 from occumine.cli import main
-from occumine.lists import build_single_item_lists, construct
+from occumine.lists import build_single_item_lists, construct, item_columns
 from occumine.model import TOL
 
 ITEMS = "abcde"
@@ -120,7 +122,7 @@ def test_bound_is_at_least_the_list_mean(db, k):
     # beta.  That is sound only if no list with support >= k has a bound
     # below this mean.
     order = total_order(db)
-    singles = build_single_item_lists(db, order)
+    singles = build_single_item_lists(item_columns(db, order.items), order)
     level = list(singles.values())
     while level:
         deeper = []
@@ -131,6 +133,30 @@ def test_bound_is_at_least_the_list_mean(db, k):
                 later = order.items[order.rank[plist.items[-1]] + 1 :]
                 deeper += [construct(plist, singles[item][0], k) for item in later]
         level = deeper
+
+
+@settings(max_examples=150, deadline=None)
+@given(db=databases(), data=st.data())
+def test_single_item_lists_under_a_subset_order(db, data):
+    # The miner ranks only its promising items, so it builds single-item
+    # lists under an order over a strict subset of the universe.
+    universe = db.item_universe
+    assume(len(universe) >= 2)
+    ranked = data.draw(
+        st.lists(st.sampled_from(universe), min_size=1, max_size=len(universe) - 1, unique=True)
+    )
+    order = total_order(db, ranked)
+    singles = build_single_item_lists(item_columns(db, order.items), order)
+    assert list(singles) == list(order.items)
+    for item, (plist, _) in singles.items():
+        holding = [t for t in db.transactions if item in t.items]
+        assert plist.tids == [t.tid for t in holding]
+        for t, pro, uo, ruo in zip(holding, plist.pro, plist.uo, plist.ruo):
+            k = t.items.index(item)
+            assert abs(pro - t.probabilities[k]) <= TOL
+            assert abs(uo - t.quantities[k] * db.unit_utilities[item] / t.tu) <= TOL
+            assert abs(ruo - remaining_utility_occupancy((item,), t.tid, db, order)) <= TOL
+    assert all(ruo == 0.0 for ruo in singles[order.items[-1]][0].ruo)
 
 
 #: ``(visited_nodes, candidate_joins, constructed_lists, patterns_found)`` of
