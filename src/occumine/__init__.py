@@ -45,6 +45,7 @@ from .model import (
     PatternRecord,
     Thresholds,
     Transaction,
+    TransactionTable,
     UncertainDatabase,
     Violation,
     build_database,
@@ -74,6 +75,7 @@ __all__ = [
     "Thresholds",
     "TotalOrder",
     "Transaction",
+    "TransactionTable",
     "UncertainDatabase",
     "UndefinedMeasureError",
     "Violation",

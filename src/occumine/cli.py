@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -36,6 +37,16 @@ def _fraction_or_zero(text: str) -> float:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"{value} is not in [0, 1]")
+    return value
+
+
+def _mean_length(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not (math.isfinite(value) and value >= 1.0):
+        raise argparse.ArgumentTypeError(f"{value} is not a finite number >= 1")
     return value
 
 
@@ -131,10 +142,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     db = load_database(args.data, args.utility)
-    lengths = [len(t) for t in db.transactions]
+    lengths = list(db.transactions.lengths())
     num_items = len(db.item_universe)
     avg_length = sum(lengths) / len(lengths) if lengths else 0.0
-    total_utility = sum(t.tu for t in db.transactions)
+    total_utility = sum(db.transactions.tu)
     density = avg_length / num_items if num_items else 0.0
     lines = [
         f"transactions={len(db)}",
@@ -253,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--transactions", type=_positive_int, required=True)
     p_gen.add_argument("--items", type=_positive_int, required=True)
-    p_gen.add_argument("--avg-length", type=float, required=True)
+    p_gen.add_argument("--avg-length", type=_mean_length, required=True,
+                       help="mean transaction length, a finite number >= 1")
     p_gen.add_argument("--max-quantity", type=_positive_int, default=5)
     p_gen.add_argument("--max-utility", type=_positive_int, default=20)
     p_gen.add_argument("--prob-min", type=_fraction, default=0.1)

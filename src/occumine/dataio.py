@@ -28,12 +28,12 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import add, mul
 from pathlib import Path
 
 from .errors import MissingUtilityError, ParseError
-from .model import Transaction, UncertainDatabase, build_database
+from .model import TransactionTable, UncertainDatabase, build_database
 
 _ITEM_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _TOKEN_RE = re.compile(r"\S+")
@@ -162,15 +162,17 @@ def _parse_tokens(numbered_lines, utilities: dict[str, float]) -> list[_Row]:
 
 
 def _convert_tokens(
-    joined: str, utilities: dict[str, float]
+    joined: str, utilities: dict[str, float], ids: dict[str, str]
 ) -> tuple[tuple, tuple, tuple, tuple] | None:
     """Convert the tokens of ``joined`` into occurrence columns, or return None.
 
     Returns exact tuples of the items, quantities and probabilities and of
     each occurrence's ``quantity * utility``, after the token checks of
-    :func:`_parse_tokens` pass on them all.  The token and field lists die
-    on return, before the caller allocates the objects that trigger
-    garbage collections, so no collection walks them.
+    :func:`_parse_tokens` pass on them all.  ``ids`` maps every item of
+    ``utilities`` to itself: each item is stored as that one string, so
+    the database holds one string per distinct item, not one per
+    occurrence.  The token and field lists die on return, so no later
+    garbage collection walks them.
     """
     tokens = joined.split()
     if list(map(str.count, tokens, repeat(":"))).count(2) != len(tokens):
@@ -179,7 +181,7 @@ def _convert_tokens(
     if len(fields) != 3 * len(tokens):  # an empty item, quantity or probability
         return None
     try:
-        items = tuple(fields[0::3])
+        items = tuple(map(ids.__getitem__, fields[0::3]))
         quantities = tuple(map(int, fields[1::3]))
         probabilities = tuple(map(float, fields[2::3]))
         products = tuple(map(mul, quantities, map(utilities.__getitem__, items)))
@@ -196,38 +198,35 @@ def _convert_tokens(
 
 
 def _parse_block(
-    lines: list[str], utilities: dict[str, float]
-) -> tuple[list, list, list, list[float]] | None:
+    lines: list[str], utilities: dict[str, float], ids: dict[str, str]
+) -> tuple[tuple, tuple, tuple, list[float], list[int]] | None:
     """Parse a block of content lines as whole columns, or return None.
 
-    Returns the block's per-line items, quantities, probabilities and
-    total utilities as four parallel lists, equal bit for bit to the rows
-    of :func:`_parse_tokens`: each total is summed left to right as the
-    token loop sums it (``sum`` is compensated on Python 3.12+, so it can
-    differ).  Returns None when any check fails, without saying where;
-    the caller then parses the block token by token to locate the error.
+    Returns the block's items, quantities and probabilities as flat
+    columns, then each line's total utility and the end offset of its
+    occurrences in those columns.  Together they are equal bit for bit to
+    the rows of :func:`_parse_tokens`: each total is summed left to right
+    as the token loop sums it (``sum`` is compensated on Python 3.12+, so
+    it can differ).  Returns None when any check fails, without saying
+    where; the caller then parses the block token by token to locate the
+    error.
     """
-    columns = _convert_tokens(" ".join(lines), utilities)
+    columns = _convert_tokens(" ".join(lines), utilities, ids)
     if columns is None:
         return None
     items, quantities, probabilities, products = columns
     # Every token has two colons, so a line's colons count its tokens twice.
     ends = [colons // 2 for colons in accumulate(map(str.count, lines, repeat(":")))]
     spans = list(map(slice, [0, *ends[:-1]], ends))
-    line_items = list(map(items.__getitem__, spans))
     totals = list(map(reduce, repeat(add), map(products.__getitem__, spans), repeat(0.0)))
     if not (
-        sum(map(len, map(set, line_items))) == len(items)  # no line repeats an item
+        # no line repeats an item
+        sum(map(len, map(set, map(items.__getitem__, spans)))) == len(items)
         and all(map((0.0).__lt__, totals))
         and all(map(math.inf.__gt__, totals))
     ):
         return None
-    return (
-        line_items,
-        list(map(quantities.__getitem__, spans)),
-        list(map(probabilities.__getitem__, spans)),
-        totals,
-    )
+    return items, quantities, probabilities, totals, ends
 
 
 def parse_database(
@@ -237,26 +236,47 @@ def parse_database(
 
     Content lines are converted in blocks of :data:`_BLOCK_LINES`, whole
     columns at a time (:func:`_parse_block`), so the working set stays one
-    block's tokens however large the input.  A block that fails any check
-    is parsed again by :func:`_parse_tokens`, which raises the error with
-    its line and column.  The database records an empty validation
-    verdict, so ``mine`` does not validate it again.
+    block's tokens however large the input.  Each block's columns are
+    appended to the database-wide ones; no per-line object outlives its
+    block.  A block that fails any check is parsed again by
+    :func:`_parse_tokens`, which raises the error with its line and
+    column.  The database records an empty validation verdict, so
+    ``mine`` does not validate it again.
     """
     utilities = parse_utilities(utility_text)
+    ids = dict(zip(utilities, utilities))
 
-    transactions: list[Transaction] = []
-    universe: set[str] = set()
+    items: list[str] = []
+    quantities: list[int] = []
+    probabilities: list[float] = []
+    totals: list[float] = []
+    ends: list[int] = []
     numbered = _lines(_decode(transactions_text))
     while block := list(islice(numbered, _BLOCK_LINES)):
-        columns = _parse_block([line for _, line in block], utilities)
+        columns = _parse_block([line for _, line in block], utilities, ids)
         if columns is None:
-            columns = list(zip(*_parse_tokens(block, utilities)))
-        universe.update(*columns[0])
-        transactions.extend(map(Transaction, count(len(transactions) + 1), *columns))
+            rows = _parse_tokens(block, utilities)
+            line_items, line_quantities, line_probabilities, line_totals = zip(*rows)
+            columns = (
+                chain.from_iterable(line_items),
+                chain.from_iterable(line_quantities),
+                chain.from_iterable(line_probabilities),
+                line_totals,
+                accumulate(map(len, line_items)),
+            )
+        block_items, block_quantities, block_probabilities, block_totals, block_ends = columns
+        ends.extend(map(add, block_ends, repeat(len(items))))
+        items.extend(block_items)
+        quantities.extend(block_quantities)
+        probabilities.extend(block_probabilities)
+        totals.extend(block_totals)
+    table = TransactionTable(
+        range(1, len(totals) + 1), ends, totals, items, quantities, probabilities
+    )
     db = UncertainDatabase(
-        transactions=tuple(transactions),
+        transactions=table,
         unit_utilities=utilities,
-        item_universe=tuple(sorted(universe)),
+        item_universe=tuple(sorted(set(items))),
     )
     # Every line passed the checks validate_database makes.
     db.record_verdict(())
@@ -287,13 +307,16 @@ def write_database(db: UncertainDatabase) -> tuple[str, str]:
         if not _ITEM_RE.match(item):
             raise ValueError(f"item id {item!r} cannot be serialized")
 
-    transaction_lines = []
-    for t in db.transactions:
-        tokens = [
-            f"{item}:{quantity}:{_format_number(p)}"
-            for item, quantity, p in zip(t.items, t.quantities, t.probabilities)
-        ]
-        transaction_lines.append(" ".join(tokens))
+    table = db.transactions
+    tokens = list(
+        map(
+            "{}:{}:{}".format,
+            table.items,
+            table.quantities,
+            map(_format_number, table.probabilities),
+        )
+    )
+    transaction_lines = list(map(" ".join, map(tokens.__getitem__, table.spans())))
     utility_lines = [
         f"{item} {_format_number(value)}"
         for item, value in sorted(db.unit_utilities.items())
@@ -331,8 +354,8 @@ class GeneratorConfig:
             raise ValueError("num_transactions must be >= 0")
         if self.num_items < 1:
             raise ValueError("num_items must be >= 1")
-        if self.avg_transaction_length < 1:
-            raise ValueError("avg_transaction_length must be >= 1")
+        if not (math.isfinite(self.avg_transaction_length) and self.avg_transaction_length >= 1):
+            raise ValueError("avg_transaction_length must be a finite number >= 1")
         if self.max_quantity < 1:
             raise ValueError("max_quantity must be >= 1")
         if self.max_unit_utility < 1:
@@ -353,7 +376,14 @@ def _draw_length(rng: random.Random, config: GeneratorConfig) -> int:
         return 1
     p = 1.0 / mean
     u = rng.random()
-    length = 1 + int(math.log(1.0 - u) / math.log(1.0 - p)) if u > 0.0 else 1
+    log_q = math.log(1.0 - p)
+    if u == 0.0:
+        length = 1
+    elif log_q == 0.0:
+        # p is below float resolution, so the draw exceeds any clamp.
+        length = config.num_items
+    else:
+        length = 1 + int(math.log(1.0 - u) / log_q)
     return max(1, min(length, config.num_items))
 
 

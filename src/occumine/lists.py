@@ -80,22 +80,28 @@ ItemColumns = dict[str, tuple[list[int], list[float], list[float]]]
 
 
 def item_columns(db: UncertainDatabase, items: Iterable[str]) -> ItemColumns:
-    """Read, in one pass over ``db``, every occurrence of ``items``.
+    """Read, in one pass over ``db``'s occurrence columns, every occurrence
+    of ``items``.
 
     Each item gets ascending tids, its probability there, and its uo,
     quantity * unit utility / tu, there.  Occurrences of other items are
     skipped; they still count in tu, which covers the whole transaction.
     """
     utilities = db.unit_utilities
+    table = db.transactions
     columns: ItemColumns = {item: ([], [], []) for item in items}
-    for t in db.transactions:
-        tid, tu = t.tid, t.tu
-        for item, quantity, p in zip(t.items, t.quantities, t.probabilities):
-            if item in columns:
-                tids, pro, uo = columns[item]
-                tids.append(tid)
-                pro.append(p)
-                uo.append(quantity * utilities[item] / tu)
+    kept = list(map(columns.__contains__, table.items))
+    for item, quantity, p, tid, tu in zip(
+        compress(table.items, kept),
+        compress(table.quantities, kept),
+        compress(table.probabilities, kept),
+        compress(table.per_occurrence(table.tids), kept),
+        compress(table.per_occurrence(table.tu), kept),
+    ):
+        tids, pro, uo = columns[item]
+        tids.append(tid)
+        pro.append(p)
+        uo.append(quantity * utilities[item] / tu)
     return columns
 
 

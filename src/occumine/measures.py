@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb, prod
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import EnumerationBudgetError, MissingUtilityError, UndefinedMeasureError
 from .model import TOL, PatternRecord, Thresholds, UncertainDatabase
@@ -72,7 +72,7 @@ def total_order(
     if unknown:
         raise ValueError(f"items not in database universe: {sorted(unknown)}")
     if counts is None:
-        counts = Counter(chain.from_iterable(t.items for t in db.transactions))
+        counts = Counter(db.transactions.items)
     ordered = tuple(sorted(items, key=lambda i: (counts[i], i)))
     return TotalOrder(rank={item: r for r, item in enumerate(ordered)}, items=ordered)
 
@@ -84,10 +84,20 @@ def _as_pattern(pattern: Iterable[str]) -> frozenset[str]:
     return p
 
 
+def _supporting(p: frozenset[str], db: UncertainDatabase) -> Iterator[tuple]:
+    """``(items, quantities, probabilities, tu)`` of each transaction of ``db``
+    that holds every item of ``p``, in order, sliced from the columns."""
+    table = db.transactions
+    for span, tu in zip(table.spans(), table.tu):
+        items = table.items[span]
+        if p.issubset(items):
+            yield items, table.quantities[span], table.probabilities[span], tu
+
+
 def support_count(pattern: Iterable[str], db: UncertainDatabase) -> int:
     """Number of transactions containing every item of the pattern."""
     p = _as_pattern(pattern)
-    return sum(1 for t in db.transactions if p.issubset(t.items))
+    return sum(1 for _ in _supporting(p, db))
 
 
 def utility(pattern: Iterable[str], db: UncertainDatabase) -> float:
@@ -97,9 +107,8 @@ def utility(pattern: Iterable[str], db: UncertainDatabase) -> float:
         if item not in db.unit_utilities:
             raise MissingUtilityError(item)
     total = 0.0
-    for t in db.transactions:
-        if p.issubset(t.items):
-            total += sum(q * db.unit_utilities[i] for i, q in zip(t.items, t.quantities) if i in p)
+    for items, quantities, _, _ in _supporting(p, db):
+        total += sum(q * db.unit_utilities[i] for i, q in zip(items, quantities) if i in p)
     return total
 
 
@@ -111,11 +120,10 @@ def utility_occupancy(pattern: Iterable[str], db: UncertainDatabase) -> float:
             raise MissingUtilityError(item)
     share_sum = 0.0
     supporting = 0
-    for t in db.transactions:
-        if p.issubset(t.items):
-            u = sum(q * db.unit_utilities[i] for i, q in zip(t.items, t.quantities) if i in p)
-            share_sum += u / t.tu
-            supporting += 1
+    for items, quantities, _, tu in _supporting(p, db):
+        u = sum(q * db.unit_utilities[i] for i, q in zip(items, quantities) if i in p)
+        share_sum += u / tu
+        supporting += 1
     if supporting == 0:
         raise UndefinedMeasureError(
             f"utility occupancy undefined: {sorted(p)} has no supporting transaction"
@@ -127,9 +135,8 @@ def probability(pattern: Iterable[str], db: UncertainDatabase) -> float:
     """Summed existential probability of the pattern over supporting transactions."""
     p = _as_pattern(pattern)
     total = 0.0
-    for t in db.transactions:
-        if p.issubset(t.items):
-            total += prod(pr for item, pr in zip(t.items, t.probabilities) if item in p)
+    for items, _, probabilities, _ in _supporting(p, db):
+        total += prod(pr for item, pr in zip(items, probabilities) if item in p)
     return total
 
 
@@ -184,11 +191,17 @@ def oracle_measures(
             raise EnumerationBudgetError(budget)
 
     # item -> {tid: (quantity * unit utility, probability, tu)} over the
-    # transactions holding it, in one pass over the columns.
+    # transactions holding it, in one pass over the occurrence columns.
     held: dict[str, dict[int, tuple[float, float, float]]] = {item: {} for item in universe}
-    for t in db.transactions:
-        for item, quantity, p in zip(t.items, t.quantities, t.probabilities):
-            held[item][t.tid] = (quantity * db.unit_utilities[item], p, t.tu)
+    table = db.transactions
+    for item, quantity, p, tid, tu in zip(
+        table.items,
+        table.quantities,
+        table.probabilities,
+        table.per_occurrence(table.tids),
+        table.per_occurrence(table.tu),
+    ):
+        held[item][tid] = (quantity * db.unit_utilities[item], p, tu)
     # Sums run in a tid-set intersection's iteration order; sets built from
     # ascending tids one at a time make it, and so the sums, reproducible.
     tid_sets = {item: frozenset(iter(column)) for item, column in held.items()}

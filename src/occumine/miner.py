@@ -24,7 +24,6 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import add
 
 from .errors import DatabaseValidationError
@@ -199,7 +198,7 @@ def mine(
         # in the order (and in ruo values) and the final filter handles
         # them.  An item's probability is summed over the same column, in
         # the same order, as its list's summary, so both hold one float.
-        counts = Counter(chain.from_iterable(t.items for t in db.transactions))
+        counts = Counter(db.transactions.items)
         columns = item_columns(db, [i for i in db.item_universe if counts[i] >= min_sup])
         promising = [
             item

@@ -14,24 +14,31 @@ A database is checked at most once.  It records the verdict of
 enforces every invariant the check looks for.  Direct construction and
 ``dataclasses.replace`` start with no verdict recorded.
 
-A transaction stores its occurrences as parallel columns (``items``,
-``quantities``, ``probabilities``), each an exact tuple of strings, ints
-or floats.  CPython's cyclic garbage collector stops tracking such tuples
-after the first collection they survive, so a loaded database leaves a
-few GC-tracked objects per transaction rather than one per occurrence,
-and full collections during and after loading stay cheap.
-Every pass, the oracle's :func:`~occumine.measures.oracle_measures` too,
-zips the columns; a transaction keeps no set or by-item view.  For readers
+A database keeps its transactions in one :class:`TransactionTable`:
+database-wide columns that are exact tuples of ints, floats or strings.
+Per transaction it holds the tid, the end offset of its occurrences and
+its total utility; per occurrence, in transaction order, the item, the
+quantity and the probability.  CPython's cyclic garbage collector stops
+tracking such tuples after the first collection they survive, so a
+loaded database leaves a constant number of GC-tracked objects however
+many transactions it holds, and collections during and after loading
+have nothing of it to walk.  The passes over the whole database (the
+miner's set-up, the oracle's enumeration, validation and writing) read
+the columns.  Indexing or iterating the table builds a fresh
+:class:`Transaction` per access, and nothing caches it; for readers
 outside the package, ``Transaction.occurrences`` builds
-:class:`ItemOccurrence` records from the columns on demand.
+:class:`ItemOccurrence` records on demand in turn.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
+from itertools import chain, repeat
+from operator import le, sub
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 #: Slack for every floating-point comparison against a threshold:
 #: ``x >= t`` is implemented as ``x >= t - TOL`` because repeated list
@@ -81,9 +88,100 @@ class Transaction:
         return len(self.items)
 
 
+@dataclass(frozen=True, slots=True)
+class TransactionTable(Sequence):
+    """Every transaction of a database, as flat columns.
+
+    Per transaction, in database order: ``tids``, ``ends`` (the end
+    offset of its occurrences in the occurrence columns; it starts where
+    the previous one ends) and ``tu``.  Per occurrence, transaction by
+    transaction: ``items``, ``quantities`` and ``probabilities``.  Each
+    column is stored as an exact tuple, whatever iterable is passed in.
+
+    The table is a read-only sequence of :class:`Transaction`: ``len``,
+    indexing, iteration, and slicing, which returns a tuple.  Every access
+    builds a fresh ``Transaction``; none is cached.
+    """
+
+    tids: tuple[int, ...]
+    ends: tuple[int, ...]
+    tu: tuple[float, ...]
+    items: tuple[str, ...]
+    quantities: tuple[int, ...]
+    probabilities: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        for column in fields(self):
+            object.__setattr__(self, column.name, tuple(getattr(self, column.name)))
+        occurrences = self.ends[-1] if self.ends else 0
+        if not (
+            len(self.tids) == len(self.ends) == len(self.tu)
+            and occurrences == len(self.items) == len(self.quantities) == len(self.probabilities)
+            and all(map(le, chain((0,), self.ends), self.ends))
+        ):
+            raise ValueError("transaction table columns do not line up")
+
+    @classmethod
+    def from_transactions(cls, transactions: Iterable[Transaction]) -> TransactionTable:
+        """Flatten ``transactions`` into a table, keeping their order and tids.
+
+        Raises ``ValueError`` for a transaction whose three occurrence
+        columns differ in length, which the table cannot hold.
+        """
+        tids, ends, tus, items, quantities, probabilities = [], [], [], [], [], []
+        for t in transactions:
+            if not len(t.items) == len(t.quantities) == len(t.probabilities):
+                raise ValueError(str(Violation("columns differ in length", tid=t.tid)))
+            tids.append(t.tid)
+            tus.append(t.tu)
+            items.extend(t.items)
+            quantities.extend(t.quantities)
+            probabilities.extend(t.probabilities)
+            ends.append(len(items))
+        return cls(tids, ends, tus, items, quantities, probabilities)
+
+    def spans(self) -> Iterator[slice]:
+        """The slice of the occurrence columns each transaction holds, in order."""
+        return map(slice, chain((0,), self.ends), self.ends)
+
+    def lengths(self) -> Iterator[int]:
+        """The number of occurrences of each transaction, in order."""
+        return map(sub, self.ends, chain((0,), self.ends))
+
+    def per_occurrence(self, column: Iterable) -> Iterator:
+        """Repeat each transaction's entry of ``column`` (``tids`` or ``tu``,
+        say) once per occurrence, so it runs alongside ``items``."""
+        return chain.from_iterable(map(repeat, column, self.lengths()))
+
+    def _transaction(self, k: int, span: slice) -> Transaction:
+        return Transaction(
+            self.tids[k],
+            self.items[span],
+            self.quantities[span],
+            self.probabilities[span],
+            self.tu[k],
+        )
+
+    def __len__(self) -> int:
+        return len(self.tids)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return tuple(map(self.__getitem__, range(*key.indices(len(self)))))
+        k = range(len(self))[key]  # an IndexError or TypeError like a tuple's
+        return self._transaction(k, slice(self.ends[k - 1] if k else 0, self.ends[k]))
+
+    def __iter__(self) -> Iterator[Transaction]:
+        return map(self._transaction, range(len(self)), self.spans())
+
+
 @dataclass(frozen=True)
 class UncertainDatabase:
     """An immutable uncertain quantitative transaction database.
+
+    ``transactions`` is given as a :class:`TransactionTable` or as any
+    iterable of :class:`Transaction`, which is flattened into one; tids
+    are kept as given, gaps and all.
 
     ``item_universe`` holds the distinct items appearing in transactions,
     sorted by id.  ``unit_utilities`` may contain extra entries for items
@@ -96,7 +194,7 @@ class UncertainDatabase:
     and takes no part in equality.
     """
 
-    transactions: tuple[Transaction, ...]
+    transactions: TransactionTable
     unit_utilities: Mapping[str, float]
     item_universe: tuple[str, ...]
     verdict: tuple[Violation, ...] | None = field(
@@ -104,7 +202,9 @@ class UncertainDatabase:
     )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "transactions", tuple(self.transactions))
+        if not isinstance(self.transactions, TransactionTable):
+            table = TransactionTable.from_transactions(self.transactions)
+            object.__setattr__(self, "transactions", table)
         object.__setattr__(self, "unit_utilities", MappingProxyType(dict(self.unit_utilities)))
         object.__setattr__(self, "item_universe", tuple(self.item_universe))
 
@@ -140,7 +240,7 @@ def build_database(
     """Assemble a database from raw (item, quantity, probability) rows.
 
     Serves the generator, ``augment`` and hand-built databases; the
-    parser builds its transactions straight from its own columns.
+    parser builds its table straight from its own columns.
     Assigns 1-based tids in row order, transposes each row into the
     transaction's columns and sums its total utility from
     ``unit_utilities`` in the same left-to-right order the parser and
@@ -286,52 +386,39 @@ def validate_database(db: UncertainDatabase) -> list[Violation]:
         seen_universe.add(item)
 
     utilities = db.unit_utilities
-    for position, t in enumerate(db.transactions, start=1):
-        if t.tid != position:
-            violations.append(
-                Violation(f"tid out of sequence (expected {position})", tid=t.tid)
-            )
-        if not len(t.items) == len(t.quantities) == len(t.probabilities):
-            violations.append(Violation("columns differ in length", tid=t.tid))
+    table = db.transactions
+    for position, (tid, span, tu) in enumerate(zip(table.tids, table.spans(), table.tu), 1):
+        if tid != position:
+            violations.append(Violation(f"tid out of sequence (expected {position})", tid=tid))
+        items = table.items[span]
         seen: set[str] = set()
         recomputed = 0.0
-        for item, quantity, probability in zip(t.items, t.quantities, t.probabilities):
+        for item, quantity, probability in zip(
+            items, table.quantities[span], table.probabilities[span]
+        ):
             if item in seen:
-                violations.append(
-                    Violation("duplicate item in transaction", tid=t.tid, item=item)
-                )
+                violations.append(Violation("duplicate item in transaction", tid=tid, item=item))
             seen.add(item)
             if quantity < 1:
-                violations.append(
-                    Violation(f"quantity {quantity} below 1", tid=t.tid, item=item)
-                )
+                violations.append(Violation(f"quantity {quantity} below 1", tid=tid, item=item))
             if not 0.0 < probability <= 1.0:
                 violations.append(
-                    Violation(
-                        f"probability {probability} outside (0, 1]",
-                        tid=t.tid,
-                        item=item,
-                    )
+                    Violation(f"probability {probability} outside (0, 1]", tid=tid, item=item)
                 )
             if item not in utilities:
-                violations.append(Violation("missing utility entry", tid=t.tid, item=item))
+                violations.append(Violation("missing utility entry", tid=tid, item=item))
             elif item not in seen_universe:
-                violations.append(Violation("item not in universe", tid=t.tid, item=item))
+                violations.append(Violation("item not in universe", tid=tid, item=item))
             else:
                 recomputed += quantity * utilities[item]
-        if all(item in utilities for item in t.items):
-            if not (math.isfinite(recomputed) and math.isfinite(t.tu)):
+        if all(item in utilities for item in items):
+            if not (math.isfinite(recomputed) and math.isfinite(tu)):
+                violations.append(Violation("transaction utility is not a finite number", tid=tid))
+            elif abs(recomputed - tu) > TOL:
                 violations.append(
-                    Violation("transaction utility is not a finite number", tid=t.tid)
-                )
-            elif abs(recomputed - t.tu) > TOL:
-                violations.append(
-                    Violation(
-                        f"stored tu {t.tu} does not match recomputed {recomputed}",
-                        tid=t.tid,
-                    )
+                    Violation(f"stored tu {tu} does not match recomputed {recomputed}", tid=tid)
                 )
             if recomputed <= 0.0:
-                violations.append(Violation("transaction utility is not positive", tid=t.tid))
+                violations.append(Violation("transaction utility is not positive", tid=tid))
 
     return violations

@@ -339,6 +339,29 @@ def test_generate_is_deterministic(tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "0.5"])
+def test_generate_bad_avg_length_exits_2(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as info:
+        main(["generate", "--seed", "1", "--transactions", "5", "--items", "4",
+              "--avg-length", value,
+              "--data", str(tmp_path / "d.txt"), "--utility", str(tmp_path / "u.txt")])
+    assert info.value.code == 2
+    assert "is not a finite number >= 1" in capsys.readouterr().err
+
+
+def test_generate_huge_avg_length_fills_every_transaction(tmp_path, capsys):
+    data, utility = tmp_path / "d.txt", tmp_path / "u.txt"
+    code, _, err = run(
+        ["generate", "--seed", "1", "--transactions", "5", "--items", "4",
+         "--avg-length", "1e308", "--data", str(data), "--utility", str(utility)],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    code, out, _ = run(["stats", "--data", str(data), "--utility", str(utility)], capsys)
+    assert code == 0
+    assert "min_length=4" in out and "max_length=4" in out
+
+
 def test_augment_command(tmp_path, capsys):
     plain = tmp_path / "plain.txt"
     plain.write_text("1 5 9\n2 5\n9 1\n")

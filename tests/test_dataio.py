@@ -167,10 +167,26 @@ def test_invalid_unknown_item_is_a_parse_error_at_its_column():
 
 def test_parsed_columns_are_not_gc_tracked(example_db):
     gc.collect()
-    for t in example_db.transactions:
-        for column in (t.items, t.quantities, t.probabilities):
-            assert type(column) is tuple
-            assert not gc.is_tracked(column)
+    table = example_db.transactions
+    for column in (
+        table.tids, table.ends, table.tu, table.items, table.quantities, table.probabilities
+    ):
+        assert type(column) is tuple
+        assert not gc.is_tracked(column)
+
+
+def test_parse_leaves_no_tracked_object_per_transaction():
+    config = GeneratorConfig(
+        seed=3, num_transactions=5000, num_items=50, avg_transaction_length=4.0
+    )
+    data_text, utility_text = write_database(generate(config))
+    gc.collect()
+    before = len(gc.get_objects())
+    db = parse_database(data_text, utility_text)
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    assert len(db) == 5000
+    assert grown < 50
 
 
 def test_occurrences_view_matches_tokens():
@@ -309,6 +325,8 @@ def test_generator_golden_vector():
     [
         {"num_items": 0},
         {"avg_transaction_length": 0.5},
+        {"avg_transaction_length": float("inf")},
+        {"avg_transaction_length": float("nan")},
         {"max_quantity": 0},
         {"max_unit_utility": 0},
         {"prob_min": 0.0},
@@ -322,6 +340,15 @@ def test_generator_config_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         GeneratorConfig(**base)
+
+
+def test_mean_length_beyond_float_resolution_clamps_to_the_item_count():
+    # 1 / 1e308 is below float resolution next to 1, so log(1 - p) is 0.
+    db = generate(
+        GeneratorConfig(seed=2, num_transactions=6, num_items=4, avg_transaction_length=1e308)
+    )
+    assert [len(t) for t in db.transactions] == [4] * 6
+    assert validate_database(db) == []
 
 
 AUGMENT_CONFIG = GeneratorConfig(

@@ -61,15 +61,16 @@ def test_duplicate_item_and_missing_utility_are_flagged():
 
 
 def test_column_length_mismatch_is_flagged(example_db):
+    # A database holds its occurrences in flat columns, which cannot hold
+    # a ragged transaction, so it is refused at construction.
     t1 = example_db.transactions[0]
     ragged = Transaction(1, t1.items, t1.quantities[:-1], t1.probabilities, t1.tu)
-    db = type(example_db)(
-        (ragged,) + example_db.transactions[1:],
-        example_db.unit_utilities,
-        example_db.item_universe,
-    )
-    first = validate_database(db)[0]
-    assert (first.tid, first.message) == (1, "columns differ in length")
+    with pytest.raises(ValueError, match=r"^columns differ in length \(tid 1\)$"):
+        type(example_db)(
+            (ragged,) + example_db.transactions[1:],
+            example_db.unit_utilities,
+            example_db.item_universe,
+        )
 
 
 def test_build_database_transposes_rows():

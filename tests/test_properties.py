@@ -1,11 +1,15 @@
 """Generated-input properties: miner equals oracle, the oracle's enumeration
 agrees with the per-pattern measures, the occupancy bound is at least a
 list's mean, single-item lists under an order over some of the items
-hold the direct measures, the parser only accepts valid databases and
-agrees with its per-token reference, and the CLI never raises."""
+hold the direct measures, a database's transaction table gives back the
+transactions it was built from, the parser only accepts valid databases
+and agrees with its per-token reference, and the CLI never raises."""
 
 import contextlib
+import dataclasses
 import io
+import itertools
+import pickle
 import sys
 from unittest import mock
 
@@ -20,6 +24,8 @@ from occumine import (
     Thresholds,
     Transaction,
     UncertainDatabase,
+    UndefinedMeasureError,
+    build_database,
     mine,
     oracle_measures,
     oracle_mine,
@@ -31,6 +37,7 @@ from occumine import (
     upper_bound,
     utility_occupancy,
     validate_database,
+    write_database,
 )
 from occumine import dataio
 from occumine.cli import main
@@ -157,6 +164,69 @@ def test_single_item_lists_under_a_subset_order(db, data):
             assert abs(uo - t.quantities[k] * db.unit_utilities[item] / t.tu) <= TOL
             assert abs(ruo - remaining_utility_occupancy((item,), t.tid, db, order)) <= TOL
     assert all(ruo == 0.0 for ruo in singles[order.items[-1]][0].ruo)
+
+
+def _measures(itemset, db):
+    try:
+        occupancy = utility_occupancy(itemset, db)
+    except UndefinedMeasureError:
+        occupancy = None
+    return support_count(itemset, db), probability(itemset, db), occupancy
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(
+            st.tuples(st.sampled_from(ITEMS), st.integers(1, 3), probabilities),
+            min_size=1,
+            max_size=len(ITEMS),
+            unique_by=lambda occurrence: occurrence[0],
+        ),
+        max_size=8,
+    ),
+    weights=st.lists(st.integers(1, 20).map(float), min_size=len(ITEMS), max_size=len(ITEMS)),
+    data=st.data(),
+)
+def test_transaction_table_gives_back_its_transactions(rows, weights, data):
+    # The benchmark's verifier takes sub-databases with
+    # dataclasses.replace(db, transactions=...) over a subset of positions.
+    utilities = dict(zip(ITEMS, weights))
+    db = build_database(rows, utilities)
+    expected = []
+    for tid, row in enumerate(rows, start=1):
+        items, quantities, probs = zip(*row)
+        tu = 0.0
+        for item, quantity in zip(items, quantities):
+            tu += quantity * utilities[item]
+        expected.append(Transaction(tid, items, quantities, probs, tu))
+
+    table = db.transactions
+    assert len(table) == len(expected)
+    assert tuple(table) == tuple(expected)
+    for k, want in enumerate(expected):
+        for got in (table[k], table[k - len(expected)]):
+            assert (got.tid, got.items, got.quantities, got.probabilities) == (
+                want.tid, want.items, want.quantities, want.probabilities
+            )
+            assert got.tu.hex() == want.tu.hex()
+    assert table[1:-1] == tuple(expected[1:-1])
+
+    assert UncertainDatabase(table, utilities, db.item_universe) == db
+    assert UncertainDatabase(tuple(expected), utilities, db.item_universe) == db
+    assert pickle.loads(pickle.dumps(db)) == db
+    assert parse_database(*write_database(db)) == db
+
+    kept = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    positions = [p for p, keep in enumerate(kept) if keep]
+    sub = dataclasses.replace(db, transactions=tuple(table[p] for p in positions))
+    built = UncertainDatabase(
+        tuple(expected[p] for p in positions), utilities, db.item_universe
+    )
+    assert [t.tid for t in sub.transactions] == [p + 1 for p in positions]
+    for length in (1, 2):
+        for itemset in itertools.combinations(ITEMS, length):
+            assert _measures(itemset, sub) == _measures(itemset, built)
 
 
 #: ``(visited_nodes, candidate_joins, constructed_lists, patterns_found)`` of
