@@ -10,6 +10,8 @@ import argparse
 import json
 import math
 import sys
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -145,7 +147,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     lengths = list(db.transactions.lengths())
     num_items = len(db.item_universe)
     avg_length = sum(lengths) / len(lengths) if lengths else 0.0
-    total_utility = sum(db.transactions.tu)
+    # Left to right, as the parser sums each tu: sum() is compensated on 3.12+.
+    total_utility = reduce(add, db.transactions.tu, 0.0)
     density = avg_length / num_items if num_items else 0.0
     lines = [
         f"transactions={len(db)}",

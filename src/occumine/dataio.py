@@ -273,11 +273,7 @@ def parse_database(
     table = TransactionTable(
         range(1, len(totals) + 1), ends, totals, items, quantities, probabilities
     )
-    db = UncertainDatabase(
-        transactions=table,
-        unit_utilities=utilities,
-        item_universe=tuple(sorted(set(items))),
-    )
+    db = UncertainDatabase(table, utilities)
     # Every line passed the checks validate_database makes.
     db.record_verdict(())
     return db
@@ -365,8 +361,10 @@ class GeneratorConfig:
 
 
 def _draw_probability(rng: random.Random, config: GeneratorConfig) -> float:
-    # Rounded for readable files; clamped so rounding can never hit 0.
-    return max(round(rng.uniform(config.prob_min, config.prob_max), 4), 0.0001)
+    # Rounded for readable files, then clamped, since rounding can leave
+    # the range (or reach 0).
+    drawn = round(rng.uniform(config.prob_min, config.prob_max), 4)
+    return min(max(drawn, config.prob_min), config.prob_max)
 
 
 def _draw_length(rng: random.Random, config: GeneratorConfig) -> int:
@@ -392,7 +390,7 @@ def generate(config: GeneratorConfig) -> UncertainDatabase:
 
     Item popularity follows a 1/rank skew; quantities and unit utilities
     are uniform integers; probabilities are uniform in
-    [prob_min, prob_max], rounded to 4 decimals.
+    [prob_min, prob_max], rounded to 4 decimals and kept in that range.
     """
     rng = random.Random(config.seed)
     width = len(str(config.num_items))

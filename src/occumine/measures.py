@@ -25,7 +25,6 @@ Measure definitions, for a pattern X over a database D:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, prod
@@ -53,26 +52,19 @@ class TotalOrder:
         return len(self.items)
 
 
-def total_order(
-    db: UncertainDatabase,
-    promising: Iterable[str] | None = None,
-    counts: Mapping[str, int] | None = None,
-) -> TotalOrder:
+def total_order(db: UncertainDatabase, promising: Iterable[str] | None = None) -> TotalOrder:
     """Rank items by ascending support count, ties broken by ascending id.
 
     Only the ``promising`` items are ranked (default: the whole item
     universe).  Dropping items never reorders the rest, so orders built
-    over different promising sets agree on their intersection.
-    ``counts``, when given, must hold the support count of every ranked
-    item (the miner passes its own); otherwise they are counted here
-    from the transactions.
+    over different promising sets agree on their intersection.  The
+    counts are the database's ``item_supports``; nothing is counted here.
     """
-    items = set(db.item_universe if promising is None else promising)
-    unknown = items - set(db.item_universe)
+    counts = db.item_supports
+    items = set(counts if promising is None else promising)
+    unknown = items - counts.keys()
     if unknown:
         raise ValueError(f"items not in database universe: {sorted(unknown)}")
-    if counts is None:
-        counts = Counter(db.transactions.items)
     ordered = tuple(sorted(items, key=lambda i: (counts[i], i)))
     return TotalOrder(rank={item: r for r, item in enumerate(ordered)}, items=ordered)
 
@@ -182,7 +174,7 @@ def oracle_measures(
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    universe = sorted(db.item_universe)
+    universe = db.item_universe
     lengths = range(1, min(max_len, len(universe)) + 1)
     examined = 0
     for length in lengths:

@@ -1,9 +1,10 @@
 """Depth-first pattern search over the support-ordered set-enumeration tree.
 
-The set-up counts item supports, then reads the occurrences of the items
-with the minimum support once, into the columns every single-item list is
-filled from.  The search keeps a vertical list per visited node and
-extends a node by joining its list with the single-item list of each
+The set-up takes item supports from the database, which counted them
+when it was built, then reads the occurrences of the items with the
+minimum support once, into the columns every single-item list is filled
+from.  The search keeps a vertical list per visited node and extends a
+node by joining its list with the single-item list of each
 later sibling's last item.  Support pruning is always on: a node (and its
 subtree) whose support count is below the minimum is never visited,
 which is sound because support is anti-monotone.  Three more pruning
@@ -22,7 +23,6 @@ re-checks the probability and occupancy thresholds.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from operator import add
 
@@ -198,8 +198,7 @@ def mine(
         # in the order (and in ruo values) and the final filter handles
         # them.  An item's probability is summed over the same column, in
         # the same order, as its list's summary, so both hold one float.
-        counts = Counter(db.transactions.items)
-        columns = item_columns(db, [i for i in db.item_universe if counts[i] >= min_sup])
+        columns = item_columns(db, [i for i, c in db.item_supports.items() if c >= min_sup])
         promising = [
             item
             for item, (_, pro, _) in columns.items()
@@ -207,7 +206,7 @@ def mine(
         ]
 
         if promising:
-            order = total_order(db, promising, counts)
+            order = total_order(db, promising)
             singles = build_single_item_lists(columns, order)
             stats.constructed_lists += len(singles)
             extensions = [singles[item] for item in order.items]

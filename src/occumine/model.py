@@ -6,7 +6,8 @@ probability in (0, 1]; a separate table maps every item to a non-negative
 unit utility.  All model types are frozen dataclasses: instances are
 immutable after construction and safe to share across threads.  A
 database stores its utility table as a read-only copy of the mapping it
-was given, so nothing can change it after construction.
+was given, so nothing can change it after construction, and counts its
+item supports once, at construction; its item universe is their keys.
 
 A database is checked at most once.  It records the verdict of
 :func:`validate_database` the first time the miner asks for it, and
@@ -33,6 +34,7 @@ outside the package, ``Transaction.occurrences`` builds
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
@@ -183,20 +185,25 @@ class UncertainDatabase:
     iterable of :class:`Transaction`, which is flattened into one; tids
     are kept as given, gaps and all.
 
-    ``item_universe`` holds the distinct items appearing in transactions,
-    sorted by id.  ``unit_utilities`` may contain extra entries for items
-    that never occur; it must cover every item that does.  It is stored
-    as a read-only copy, so changing the mapping passed in afterwards
-    changes nothing here.
+    ``unit_utilities`` may contain extra entries for items that never
+    occur; it must cover every item that does.  It is stored as a
+    read-only copy, so changing the mapping passed in afterwards changes
+    nothing here.
+
+    ``item_supports`` maps each item that occurs to the number of
+    transactions holding it, in ascending item order.  It is counted once,
+    at construction, from the item column, so it counts occurrences: in a
+    valid database, where no transaction repeats an item, that is the
+    support.  ``item_universe`` is its keys.
 
     ``verdict`` holds the violations :func:`validate_database` found, or
-    ``None`` while none is recorded.  It is not an ``__init__`` argument
-    and takes no part in equality.
+    ``None`` while none is recorded.  Neither ``item_supports`` nor
+    ``verdict`` is an ``__init__`` argument or takes part in equality.
     """
 
     transactions: TransactionTable
     unit_utilities: Mapping[str, float]
-    item_universe: tuple[str, ...]
+    item_supports: Mapping[str, int] = field(init=False, repr=False, compare=False)
     verdict: tuple[Violation, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -206,7 +213,13 @@ class UncertainDatabase:
             table = TransactionTable.from_transactions(self.transactions)
             object.__setattr__(self, "transactions", table)
         object.__setattr__(self, "unit_utilities", MappingProxyType(dict(self.unit_utilities)))
-        object.__setattr__(self, "item_universe", tuple(self.item_universe))
+        supports = sorted(Counter(self.transactions.items).items())
+        object.__setattr__(self, "item_supports", MappingProxyType(dict(supports)))
+
+    @property
+    def item_universe(self) -> tuple[str, ...]:
+        """The distinct items that occur, sorted by id."""
+        return tuple(self.item_supports)
 
     def record_verdict(self, violations: Iterable[Violation]) -> tuple[Violation, ...]:
         """Record and return what validating this database found.
@@ -221,16 +234,21 @@ class UncertainDatabase:
 
     def __reduce__(self):
         # A read-only mapping cannot be pickled; a copy is rebuilt from a
-        # dict and records no verdict.
-        return type(self), (self.transactions, dict(self.unit_utilities), self.item_universe)
+        # dict, recounts its supports and records no verdict.
+        return type(self), (self.transactions, dict(self.unit_utilities))
 
     def __len__(self) -> int:
         return len(self.transactions)
 
     def transaction(self, tid: int) -> Transaction:
-        if not 1 <= tid <= len(self.transactions):
+        """The transaction with this tid; ``ValueError`` when none has it."""
+        tids = self.transactions.tids
+        # A table without gaps holds tid k at position k - 1.
+        if 0 < tid <= len(tids) and tids[tid - 1] == tid:
+            return self.transactions[tid - 1]
+        if tid not in tids:
             raise ValueError(f"no transaction with tid {tid}")
-        return self.transactions[tid - 1]
+        return self.transactions[tids.index(tid)]
 
 
 def build_database(
@@ -249,19 +267,13 @@ def build_database(
     job (see :func:`validate_database`).
     """
     transactions = []
-    universe: set[str] = set()
     for tid, row in enumerate(rows, start=1):
         items, quantities, probabilities = zip(*row) if row else ((), (), ())
         tu = 0.0
         for item, quantity in zip(items, quantities):
             tu += quantity * unit_utilities[item]
         transactions.append(Transaction(tid, items, quantities, probabilities, tu))
-        universe.update(items)
-    return UncertainDatabase(
-        transactions=tuple(transactions),
-        unit_utilities=unit_utilities,
-        item_universe=tuple(sorted(universe)),
-    )
+    return UncertainDatabase(tuple(transactions), unit_utilities)
 
 
 @dataclass(frozen=True)
@@ -379,12 +391,6 @@ def validate_database(db: UncertainDatabase) -> list[Violation]:
         if value < 0:
             violations.append(Violation("unit utility is negative", item=item))
 
-    seen_universe: set[str] = set()
-    for item in db.item_universe:
-        if item in seen_universe:
-            violations.append(Violation("duplicate item in universe", item=item))
-        seen_universe.add(item)
-
     utilities = db.unit_utilities
     table = db.transactions
     for position, (tid, span, tu) in enumerate(zip(table.tids, table.spans(), table.tu), 1):
@@ -407,8 +413,6 @@ def validate_database(db: UncertainDatabase) -> list[Violation]:
                 )
             if item not in utilities:
                 violations.append(Violation("missing utility entry", tid=tid, item=item))
-            elif item not in seen_universe:
-                violations.append(Violation("item not in universe", tid=tid, item=item))
             else:
                 recomputed += quantity * utilities[item]
         if all(item in utilities for item in items):

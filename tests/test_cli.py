@@ -185,6 +185,19 @@ def test_stats_empty_database(tmp_path, capsys):
     assert values["density"] == "0.0000"
 
 
+def test_stats_sums_total_utility_left_to_right(tmp_path, capsys):
+    # Left to right 1e16 + 1 + 1 stays 1e16, as each tu is summed; a
+    # compensated sum (sum() on Python 3.12+) gives 1e16 + 2.
+    data = tmp_path / "data.txt"
+    utility = tmp_path / "utility.txt"
+    data.write_text("a:1:1\nb:1:1\nb:1:1\n")
+    utility.write_text("a 1e16\nb 1\n")
+    code, out, _ = run(["stats", "--data", str(data), "--utility", str(utility)], capsys)
+    assert code == 0
+    values = dict(line.split("=") for line in out.splitlines())
+    assert values["total_utility"] == "10000000000000000.0000"
+
+
 def test_bench_inline(capsys):
     code, out, _ = run(
         ["bench", *EXAMPLE_FLAGS, "--alphas", "0.2,0.3,0.4", "--betas", "0.3",

@@ -1,4 +1,4 @@
-import collections
+import dataclasses
 import itertools
 
 import pytest
@@ -108,28 +108,56 @@ def test_total_order(example_db):
     assert order.rank["a"] < order.rank["b"]
 
 
-def _bench_db():
-    return generate(
-        GeneratorConfig(
-            seed=7,
-            num_transactions=10_000,
-            num_items=200,
-            avg_transaction_length=8.0,
-            max_quantity=5,
-            max_unit_utility=30,
-            prob_min=0.3,
-            prob_max=0.95,
+@pytest.mark.parametrize("name", ["example", "bench", "sub"])
+def test_item_supports_match_a_recount(request, example_db, name):
+    if name == "sub":
+        # The example without the transactions that hold e.
+        db = dataclasses.replace(
+            example_db,
+            transactions=tuple(t for t in example_db.transactions if "e" not in t.items),
         )
-    )
+    else:
+        db = request.getfixturevalue(f"{name}_db")
+    recount: dict[str, int] = {}
+    for t in db.transactions:
+        for item in set(t.items):
+            recount[item] = recount.get(item, 0) + 1
+    assert dict(db.item_supports) == recount
+    assert db.item_universe == tuple(sorted(recount))
+    if name == "sub":
+        assert db.item_universe == ("a", "b", "c", "d")
+    with pytest.raises(TypeError):
+        db.item_supports["a"] = 0
+    assert total_order(db).items == tuple(sorted(recount, key=lambda i: (recount[i], i)))
 
 
-@pytest.mark.parametrize("make_db", [None, _bench_db], ids=["example", "bench"])
-def test_total_order_with_given_counts_matches_recount(example_db, make_db):
-    db = example_db if make_db is None else make_db()
-    counts = collections.Counter(item for t in db.transactions for item in t.items)
+@pytest.mark.parametrize("name", ["example", "bench"])
+def test_total_order_with_given_counts_matches_recount(request, name):
+    # The order ranks by the database's stored counts; over any promising
+    # subset it must match an order built from a fresh recount.
+    db = request.getfixturevalue(f"{name}_db")
+    recount: dict[str, int] = {}
+    for t in db.transactions:
+        for item in set(t.items):
+            recount[item] = recount.get(item, 0) + 1
     every = db.item_universe
     for promising in (every, every[::3]):
-        assert total_order(db, promising, counts) == total_order(db, promising)
+        expected = tuple(sorted(promising, key=lambda i: (recount[i], i)))
+        order = total_order(db, promising)
+        assert order.items == expected
+        assert order.rank == {item: r for r, item in enumerate(expected)}
+
+
+def test_transaction_is_found_by_tid_across_gaps(example_db):
+    t1, _, t3 = example_db.transactions[:3]
+    db = dataclasses.replace(example_db, transactions=(t1, t3))
+    assert db.transaction(1) == t1
+    assert db.transaction(3) == t3
+    for missing in (0, 2, 4):
+        with pytest.raises(ValueError, match=f"^no transaction with tid {missing}$"):
+            db.transaction(missing)
+    with pytest.raises(ValueError, match="no transaction with tid 2"):
+        remaining_utility_occupancy({"a"}, 2, db, total_order(db))
 
 
 def test_total_order_single_item(example_db):

@@ -144,7 +144,7 @@ def test_mine_rejects_invalid_database(example_db):
     tampered = (
         Transaction(1, t1.items, t1.quantities, t1.probabilities, 64.0),
     ) + example_db.transactions[1:]
-    db = type(example_db)(tampered, example_db.unit_utilities, example_db.item_universe)
+    db = type(example_db)(tampered, example_db.unit_utilities)
     with pytest.raises(DatabaseValidationError):
         mine(db, Thresholds(0.5, 0.5, 0.5))
 
@@ -181,7 +181,7 @@ def test_mine_rejects_a_tampered_database_every_time(example_db, monkeypatch):
     tampered = (
         Transaction(1, t1.items, t1.quantities, t1.probabilities, 64.0),
     ) + example_db.transactions[1:]
-    db = type(example_db)(tampered, example_db.unit_utilities, example_db.item_universe)
+    db = type(example_db)(tampered, example_db.unit_utilities)
     for _ in range(2):
         with pytest.raises(DatabaseValidationError, match="64.0"):
             mine(db, Thresholds(0.5, 0.5, 0.5))

@@ -37,7 +37,7 @@ def test_tu_mismatch_is_flagged(example_db):
     tampered = example_db.transactions[:0] + (
         Transaction(1, t1.items, t1.quantities, t1.probabilities, 64.0),
     ) + example_db.transactions[1:]
-    db = type(example_db)(tampered, example_db.unit_utilities, example_db.item_universe)
+    db = type(example_db)(tampered, example_db.unit_utilities)
     violations = validate_database(db)
     assert [v.tid for v in violations] == [1]
     assert "64.0" in violations[0].message and "65" in violations[0].message
@@ -54,7 +54,7 @@ def test_duplicate_item_and_missing_utility_are_flagged():
     db = build_database([[("a", 1, 0.5)]], {"a": 2.0, "b": 1.0})
     t = db.transactions[0]
     bad = Transaction(1, t.items * 2, t.quantities * 2, t.probabilities * 2, 4.0)
-    tampered = type(db)((bad,), {"b": 1.0}, ("a",))
+    tampered = type(db)((bad,), {"b": 1.0})
     messages = [v.message for v in validate_database(tampered)]
     assert any("duplicate item" in m for m in messages)
     assert any("missing utility" in m for m in messages)
@@ -69,7 +69,6 @@ def test_column_length_mismatch_is_flagged(example_db):
         type(example_db)(
             (ragged,) + example_db.transactions[1:],
             example_db.unit_utilities,
-            example_db.item_universe,
         )
 
 
@@ -85,7 +84,7 @@ def test_build_database_transposes_rows():
 
 def test_tid_gap_is_flagged(example_db):
     shuffled = example_db.transactions[1:] + example_db.transactions[:1]
-    db = type(example_db)(shuffled, example_db.unit_utilities, example_db.item_universe)
+    db = type(example_db)(shuffled, example_db.unit_utilities)
     assert any("tid out of sequence" in v.message for v in validate_database(db))
 
 
@@ -109,9 +108,7 @@ def test_verdict_is_recorded_by_the_parser_only(example_db):
     built = build_database([[("a", 1, 0.5)]], {"a": 2.0})
     assert built.verdict is None
     assert dataclasses.replace(example_db).verdict is None
-    direct = type(example_db)(
-        example_db.transactions, example_db.unit_utilities, example_db.item_universe
-    )
+    direct = type(example_db)(example_db.transactions, example_db.unit_utilities)
     assert direct.verdict is None
     assert direct == example_db  # the verdict takes no part in equality
 

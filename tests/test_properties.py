@@ -212,18 +212,17 @@ def test_transaction_table_gives_back_its_transactions(rows, weights, data):
             assert got.tu.hex() == want.tu.hex()
     assert table[1:-1] == tuple(expected[1:-1])
 
-    assert UncertainDatabase(table, utilities, db.item_universe) == db
-    assert UncertainDatabase(tuple(expected), utilities, db.item_universe) == db
+    assert UncertainDatabase(table, utilities) == db
+    assert UncertainDatabase(tuple(expected), utilities) == db
     assert pickle.loads(pickle.dumps(db)) == db
     assert parse_database(*write_database(db)) == db
 
     kept = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
     positions = [p for p, keep in enumerate(kept) if keep]
     sub = dataclasses.replace(db, transactions=tuple(table[p] for p in positions))
-    built = UncertainDatabase(
-        tuple(expected[p] for p in positions), utilities, db.item_universe
-    )
+    built = UncertainDatabase(tuple(expected[p] for p in positions), utilities)
     assert [t.tid for t in sub.transactions] == [p + 1 for p in positions]
+    assert sub.item_supports == built.item_supports
     for length in (1, 2):
         for itemset in itertools.combinations(ITEMS, length):
             assert _measures(itemset, sub) == _measures(itemset, built)
@@ -424,8 +423,7 @@ def _token_parse(data, utility):
     utilities = dataio.parse_utilities(utility)
     rows = dataio._parse_tokens(dataio._lines(dataio._decode(data)), utilities)
     transactions = tuple(Transaction(tid, *row) for tid, row in enumerate(rows, start=1))
-    universe = {item for t in transactions for item in t.items}
-    return UncertainDatabase(transactions, dict(utilities), tuple(sorted(universe)))
+    return UncertainDatabase(transactions, dict(utilities))
 
 
 @settings(max_examples=400, deadline=None)
