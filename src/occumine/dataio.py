@@ -362,8 +362,12 @@ class GeneratorConfig:
 
 def _draw_probability(rng: random.Random, config: GeneratorConfig) -> float:
     # Rounded for readable files, then clamped, since rounding can leave
-    # the range (or reach 0).
-    drawn = round(rng.uniform(config.prob_min, config.prob_max), 4)
+    # the range (or reach 0).  Four decimals give a range at least 1e-3
+    # wide 10 or more steps; a narrower range gets the decimals it needs
+    # for 10 steps, so its draws do not collapse to its ends.
+    width = config.prob_max - config.prob_min
+    digits = 1 - math.floor(math.log10(width)) if 0.0 < width < 1e-3 else 4
+    drawn = round(rng.uniform(config.prob_min, config.prob_max), digits)
     return min(max(drawn, config.prob_min), config.prob_max)
 
 
@@ -385,12 +389,27 @@ def _draw_length(rng: random.Random, config: GeneratorConfig) -> int:
     return max(1, min(length, config.num_items))
 
 
+def _build_finite(
+    rows: list[list[tuple[str, int, float]]], utilities: dict[str, float]
+) -> UncertainDatabase:
+    """:func:`build_database`, refusing a row whose total utility is not
+    finite, which no database file can hold."""
+    db = build_database(rows, utilities)
+    table = db.transactions
+    for tid, tu in zip(table.tids, table.tu):
+        if not math.isfinite(tu):
+            raise ValueError(f"row {tid}: total utility is not a finite number")
+    return db
+
+
 def generate(config: GeneratorConfig) -> UncertainDatabase:
     """Deterministically generate a synthetic uncertain database.
 
     Item popularity follows a 1/rank skew; quantities and unit utilities
     are uniform integers; probabilities are uniform in
-    [prob_min, prob_max], rounded to 4 decimals and kept in that range.
+    [prob_min, prob_max], rounded to 4 decimals (more for a range narrower
+    than 1e-3) and kept in that range.  Raises ``ValueError`` naming the
+    row whose total utility is not a finite float.
     """
     rng = random.Random(config.seed)
     width = len(str(config.num_items))
@@ -413,7 +432,7 @@ def generate(config: GeneratorConfig) -> UncertainDatabase:
                 for item in sorted(chosen)
             ]
         )
-    return build_database(rows, utilities)
+    return _build_finite(rows, utilities)
 
 
 def augment(plain_text: str | bytes, config: GeneratorConfig) -> UncertainDatabase:
@@ -422,7 +441,8 @@ def augment(plain_text: str | bytes, config: GeneratorConfig) -> UncertainDataba
     Input lines are whitespace-separated item tokens.  Duplicate tokens on
     a line merge into one occurrence whose quantity draws are summed.  The
     transaction structure and item set are preserved; everything random is
-    deterministic in the seed.
+    deterministic in the seed.  Raises ``ValueError`` naming the row whose
+    total utility is not a finite float.
     """
     rng = random.Random(config.seed)
 
@@ -454,4 +474,4 @@ def augment(plain_text: str | bytes, config: GeneratorConfig) -> UncertainDataba
         rows.append(
             [(item, quantities[item], _draw_probability(rng, config)) for item in ordered]
         )
-    return build_database(rows, utilities)
+    return _build_finite(rows, utilities)

@@ -18,12 +18,17 @@ re-checks the probability and occupancy thresholds.
   is below the minimum, sound by the same anti-monotonicity argument.
 * join abort: skip a list join whose joint support, counted on the tid
   bitsets before any row is built, is below the minimum.
+
+The search is one recursive function inside :func:`mine`.  It calls
+``construct``, ``upper_bound`` and the set-up functions through this
+module's globals, so a wrapper set on one of those names sees every call.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from operator import add
 
 from .errors import DatabaseValidationError
@@ -88,74 +93,8 @@ def upper_bound(plist: PatternList, min_sup_count: int) -> float:
     """
     if not plist.tids:
         return 0.0
-    k = min_sup_count
-    top = sorted(map(add, plist.uo, plist.ruo), reverse=True)[:k]
-    return sum(top) / k
-
-
-@dataclass
-class _Search:
-    min_sup: int
-    min_pro: float
-    beta: float
-    strategies: StrategySet
-    stats: MiningStats
-    singles: dict[str, PatternList]
-    found: list[PatternRecord] = field(default_factory=list)
-    node_trace: list[tuple[tuple[str, ...], float]] | None = None
-
-    def run(self, extensions: list[tuple[PatternList, PatternSummary]]) -> None:
-        s = self.strategies
-        for index, (xa_list, xa_sum) in enumerate(extensions):
-            self.stats.visited_nodes += 1
-            bound = None
-            if self.node_trace is not None:
-                bound = upper_bound(xa_list, self.min_sup)
-                self.node_trace.append((xa_list.items, bound))
-
-            # Roots and children were filtered on this summary's support (and,
-            # under probability pruning, probability); emission re-checks.
-            pro_ok = xa_sum.probability >= self.min_pro - TOL
-            if pro_ok and xa_sum.occupancy >= self.beta - TOL:
-                self.found.append(
-                    PatternRecord(
-                        items=xa_list.items,
-                        support=xa_sum.support,
-                        probability=xa_sum.probability,
-                        utility_occupancy=xa_sum.occupancy,
-                    )
-                )
-
-            # The bound is at least occupancy + remaining (see upper_bound),
-            # so only a node whose mean is below beta can be pruned by it.
-            if s.bound_prune and xa_sum.occupancy + xa_sum.remaining < self.beta - TOL:
-                if bound is None:
-                    bound = upper_bound(xa_list, self.min_sup)
-                if bound < self.beta - TOL:
-                    continue
-
-            children: list[tuple[PatternList, PatternSummary]] = []
-            for xb_list, _ in extensions[index + 1 :]:
-                self.stats.candidate_joins += 1
-                joined = construct(
-                    xa_list,
-                    self.singles[xb_list.items[-1]],
-                    self.min_sup,
-                    join_abort=s.join_abort,
-                )
-                if joined is None:
-                    continue
-                child_list, child_sum = joined
-                if not child_list.tids:
-                    continue
-                self.stats.constructed_lists += 1
-                if child_sum.support < self.min_sup:
-                    continue
-                if s.probability_prune and child_sum.probability < self.min_pro - TOL:
-                    continue
-                children.append(joined)
-            if children:
-                self.run(children)
+    top = sorted(map(add, plist.uo, plist.ruo), reverse=True)[:min_sup_count]
+    return sum(top) / min_sup_count
 
 
 def mine(
@@ -163,14 +102,17 @@ def mine(
     thresholds: Thresholds,
     strategies: StrategySet = FULL,
     *,
-    node_trace: list[tuple[tuple[str, ...], float]] | None = None,
+    on_node: Callable[[PatternList, PatternSummary], object] | None = None,
 ) -> MiningOutcome:
     """Mine every pattern meeting the support, occupancy, and probability
     thresholds of ``thresholds``.
 
     The result is independent of ``strategies``; only the traversal cost
-    recorded in the stats changes.  ``node_trace``, when given, collects
-    ``(items, upper_bound)`` for every visited node, for diagnostics.
+    recorded in the stats changes.  ``on_node``, when given, is called as
+    ``on_node(plist, summary)`` once per visited node, in visit order,
+    before the node is emitted or expanded; it changes neither the result
+    nor the stats.  A caller that wants a node's :func:`upper_bound`
+    computes it in the hook.
 
     Raises :class:`DatabaseValidationError` if ``db`` is invalid.  The
     check runs only while ``db`` has no verdict recorded, and its result
@@ -186,43 +128,75 @@ def mine(
     stats = MiningStats()
     started = time.perf_counter()
     n = len(db)
-    outcome_patterns: tuple[PatternRecord, ...] = ()
+    min_sup = thresholds.min_support(n)
+    min_pro = thresholds.min_probability(n) - TOL
+    beta = thresholds.beta - TOL
 
-    if n > 0:
-        min_sup = thresholds.min_support(n)
-        min_pro = thresholds.min_probability(n)
+    # Items below the minimum support can head no qualifying pattern, so
+    # they are always dropped.  Items below the probability minimum are
+    # dropped only under probability pruning; otherwise they stay in the
+    # order (and in ruo values) and the final filter handles them.  An
+    # item's probability is summed over the same column, in the same
+    # order, as its list's summary, so both hold one float.
+    columns = item_columns(db, [i for i, c in db.item_supports.items() if c >= min_sup])
+    if strategies.probability_prune:
+        columns = {item: column for item, column in columns.items() if sum(column[1]) >= min_pro}
+    order = total_order(db, columns)
+    singles = build_single_item_lists(columns, order)
+    stats.constructed_lists += len(singles)
+    single_lists = {item: plist for item, (plist, _) in singles.items()}
+    found: list[PatternRecord] = []
 
-        # Items below the minimum support can head no qualifying pattern,
-        # so they are always dropped.  Items below the probability minimum
-        # are dropped only under probability pruning; otherwise they stay
-        # in the order (and in ruo values) and the final filter handles
-        # them.  An item's probability is summed over the same column, in
-        # the same order, as its list's summary, so both hold one float.
-        columns = item_columns(db, [i for i, c in db.item_supports.items() if c >= min_sup])
-        promising = [
-            item
-            for item, (_, pro, _) in columns.items()
-            if not strategies.probability_prune or sum(pro) >= min_pro - TOL
-        ]
+    def search(extensions: list[tuple[PatternList, PatternSummary]]) -> None:
+        for index, (xa_list, xa_sum) in enumerate(extensions):
+            stats.visited_nodes += 1
+            if on_node is not None:
+                on_node(xa_list, xa_sum)
 
-        if promising:
-            order = total_order(db, promising)
-            singles = build_single_item_lists(columns, order)
-            stats.constructed_lists += len(singles)
-            extensions = [singles[item] for item in order.items]
+            # Roots and children were filtered on this summary's support
+            # (and, under probability pruning, probability); emission
+            # re-checks.
+            if xa_sum.probability >= min_pro and xa_sum.occupancy >= beta:
+                found.append(
+                    PatternRecord(
+                        items=xa_list.items,
+                        support=xa_sum.support,
+                        probability=xa_sum.probability,
+                        utility_occupancy=xa_sum.occupancy,
+                    )
+                )
 
-            search = _Search(
-                min_sup=min_sup,
-                min_pro=min_pro,
-                beta=thresholds.beta,
-                strategies=strategies,
-                stats=stats,
-                singles={item: plist for item, (plist, _) in singles.items()},
-                node_trace=node_trace,
-            )
-            search.run(extensions)
-            outcome_patterns = tuple(sorted(search.found, key=PatternRecord.sort_key))
+            # The bound is at least occupancy + remaining (see upper_bound),
+            # so only a node whose mean is below beta can be pruned by it.
+            if strategies.bound_prune and xa_sum.occupancy + xa_sum.remaining < beta:
+                if upper_bound(xa_list, min_sup) < beta:
+                    continue
 
-    stats.patterns_found = len(outcome_patterns)
+            children: list[tuple[PatternList, PatternSummary]] = []
+            for xb_list, _ in extensions[index + 1 :]:
+                stats.candidate_joins += 1
+                joined = construct(
+                    xa_list,
+                    single_lists[xb_list.items[-1]],
+                    min_sup,
+                    join_abort=strategies.join_abort,
+                )
+                if joined is None:
+                    continue
+                child_list, child_sum = joined
+                if not child_list.tids:
+                    continue
+                stats.constructed_lists += 1
+                if child_sum.support < min_sup:
+                    continue
+                if strategies.probability_prune and child_sum.probability < min_pro:
+                    continue
+                children.append(joined)
+            if children:
+                search(children)
+
+    search([singles[item] for item in order.items])
+    patterns = tuple(sorted(found, key=PatternRecord.sort_key))
+    stats.patterns_found = len(patterns)
     stats.elapsed_seconds = time.perf_counter() - started
-    return MiningOutcome(patterns=outcome_patterns, stats=stats)
+    return MiningOutcome(patterns=patterns, stats=stats)

@@ -263,15 +263,20 @@ def build_database(
     transaction's columns and sums its total utility from
     ``unit_utilities`` in the same left-to-right order the parser and
     :func:`validate_database` use.  Raises ``KeyError`` when an item has
-    no utility entry; structural invariants beyond that are the caller's
-    job (see :func:`validate_database`).
+    no utility entry, and ``ValueError`` naming the row when a quantity is
+    too large for a float.  A total that overflows to infinity is kept;
+    structural invariants beyond these are the caller's job (see
+    :func:`validate_database`).
     """
     transactions = []
     for tid, row in enumerate(rows, start=1):
         items, quantities, probabilities = zip(*row) if row else ((), (), ())
         tu = 0.0
-        for item, quantity in zip(items, quantities):
-            tu += quantity * unit_utilities[item]
+        try:
+            for item, quantity in zip(items, quantities):
+                tu += quantity * unit_utilities[item]
+        except OverflowError:
+            raise ValueError(f"row {tid}: total utility is not a finite number") from None
         transactions.append(Transaction(tid, items, quantities, probabilities, tu))
     return UncertainDatabase(tuple(transactions), unit_utilities)
 

@@ -20,6 +20,7 @@ from occumine import (
     oracle_measures,
     parse_database,
     total_order,
+    upper_bound,
     write_database,
 )
 from occumine.cli import main
@@ -143,9 +144,14 @@ def test_criterion_3_bound_dominance(corpus, corpus_measures):
         n = len(db)
         for triple in CORPUS_TRIPLES:
             thresholds = Thresholds(*triple)
-            trace = []
-            mine(db, thresholds, FULL, node_trace=trace)
             min_sup = thresholds.min_support(n)
+            trace = []
+            mine(
+                db,
+                thresholds,
+                FULL,
+                on_node=lambda plist, _: trace.append((plist.items, upper_bound(plist, min_sup))),
+            )
             promising = sorted({items[0] for items, _ in trace if len(items) == 1})
             if not promising:
                 continue

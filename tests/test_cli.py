@@ -375,6 +375,29 @@ def test_generate_huge_avg_length_fills_every_transaction(tmp_path, capsys):
     assert "min_length=4" in out and "max_length=4" in out
 
 
+# 1e400 does not fit a float at all; 1e308 fits, but times any unit
+# utility above 1 the total overflows to infinity.
+@pytest.mark.parametrize("zeros", [400, 308])
+@pytest.mark.parametrize("command", ["generate", "augment"])
+def test_huge_max_quantity_exits_1(tmp_path, capsys, command, zeros):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("1 5 9\n2 5\n9 1\n")
+    data, utility = tmp_path / "d.txt", tmp_path / "u.txt"
+    source = {
+        "generate": ["--transactions", "5", "--items", "3", "--avg-length", "2"],
+        "augment": ["--input", str(plain)],
+    }[command]
+    code, out, err = run(
+        [command, "--seed", "1", *source, "--max-quantity", "1" + "0" * zeros,
+         "--data", str(data), "--utility", str(utility)],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("occumine: row ") and err.count("\n") == 1
+    assert "not a finite number" in err
+    assert not data.exists()
+
+
 def test_augment_command(tmp_path, capsys):
     plain = tmp_path / "plain.txt"
     plain.write_text("1 5 9\n2 5\n9 1\n")

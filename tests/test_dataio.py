@@ -345,7 +345,8 @@ def test_generator_config_validation(kwargs):
 @pytest.mark.parametrize("prob_min,prob_max", [(0.00001, 0.00002), (0.30004, 0.30006)])
 def test_drawn_probabilities_stay_in_range(prob_min, prob_max):
     # Rounded to four decimals alone, these draws would give 0.0001, and
-    # 0.3 or 0.3001: all outside the range.
+    # 0.3 or 0.3001: all outside the range.  Clamped back into it, they
+    # would collapse to its ends, so the draws must also stay spread.
     config = GeneratorConfig(
         seed=3,
         num_transactions=40,
@@ -357,6 +358,7 @@ def test_drawn_probabilities_stay_in_range(prob_min, prob_max):
     for db in (generate(config), augment("a b c\nb c\nc a d\n" * 10, config)):
         probabilities = db.transactions.probabilities
         assert probabilities and all(prob_min <= p <= prob_max for p in probabilities)
+        assert len(set(probabilities)) > 2
 
 
 def test_mean_length_beyond_float_resolution_clamps_to_the_item_count():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from occumine import (
@@ -66,11 +68,21 @@ def test_mine_excludes_low_occupancy_item(example_db):
     assert frozenset({"b"}) not in _records_by_pattern(outcome.patterns)
 
 
+def _traced(db, thresholds, strategies=FULL):
+    """Mine, collecting (items, upper_bound) for every visited node."""
+    min_sup = thresholds.min_support(len(db))
+    trace = []
+
+    def on_node(plist, summary):
+        trace.append((plist.items, upper_bound(plist, min_sup)))
+
+    return mine(db, thresholds, strategies, on_node=on_node), trace
+
+
 def test_low_occupancy_node_is_explored_not_emitted(example_db):
     # b fails the occupancy threshold but its subtree bound passes, so
     # extensions of b are still visited.
-    trace = []
-    mine(example_db, Thresholds(0.3, 0.3, 0.05), node_trace=trace)
+    _, trace = _traced(example_db, Thresholds(0.3, 0.3, 0.05))
     traced = {items for items, _ in trace}
     assert ("b",) in traced
     bound = dict(trace)[("b",)]
@@ -78,7 +90,12 @@ def test_low_occupancy_node_is_explored_not_emitted(example_db):
     assert any(items[0] == "b" and len(items) == 2 for items in traced)
 
 
-def test_node_trace_computes_each_bound_once(example_db, monkeypatch):
+def _counters(stats):
+    return dataclasses.replace(stats, elapsed_seconds=0.0)
+
+
+@pytest.mark.parametrize("strategies", list(PRESETS.values()), ids=list(PRESETS))
+def test_on_node_hook_changes_no_counter_and_no_bound_call(bench_db, monkeypatch, strategies):
     import occumine.miner as miner_module
 
     calls = []
@@ -88,10 +105,20 @@ def test_node_trace_computes_each_bound_once(example_db, monkeypatch):
         return upper_bound(plist, min_sup_count)
 
     monkeypatch.setattr(miner_module, "upper_bound", counting_bound)
-    trace = []
-    outcome = mine(example_db, Thresholds(0.3, 0.3, 0.05), node_trace=trace)
-    assert calls == [items for items, _ in trace]
-    assert len(calls) == outcome.stats.visited_nodes
+    thresholds = Thresholds(0.05, 0.1, 0.02)
+    plain = mine(bench_db, thresholds, strategies)
+    plain_calls = list(calls)
+    calls.clear()
+    visited = []
+    hooked = mine(
+        bench_db, thresholds, strategies, on_node=lambda plist, summary: visited.append(plist.items)
+    )
+    assert calls == plain_calls
+    assert _counters(hooked.stats) == _counters(plain.stats)
+    assert hooked.patterns == plain.patterns
+    assert len(visited) == plain.stats.visited_nodes
+    if strategies.bound_prune:
+        assert plain_calls  # the bound is exercised, so "no extra call" means something
 
 
 def test_support_pruned_node_has_no_descendants():
@@ -105,8 +132,7 @@ def test_support_pruned_node_has_no_descendants():
         ],
         {"x": 1.0, "y": 1.0, "z": 1.0},
     )
-    trace = []
-    outcome = mine(db, Thresholds(0.6, 0.1, 0.0), node_trace=trace)
+    outcome, trace = _traced(db, Thresholds(0.6, 0.1, 0.0))
     traced = {items for items, _ in trace}
     assert ("y",) not in traced  # dropped before ordering: support 1 < 2
     assert all("y" not in items for items in traced)
@@ -117,10 +143,8 @@ def test_probability_pruning_drops_subtree(example_db):
     # Node (a, c) has probability 2.13; with a probability floor of 3 it
     # is never visited under probability pruning but survives without it.
     thresholds = Thresholds(0.3, 0.05, 0.3)
-    with_pruning = []
-    mine(example_db, thresholds, FULL, node_trace=with_pruning)
-    without = []
-    mine(example_db, thresholds, S12, node_trace=without)
+    _, with_pruning = _traced(example_db, thresholds, FULL)
+    _, without = _traced(example_db, thresholds, S12)
     assert ("a", "c") not in {items for items, _ in with_pruning}
     assert ("a", "c") in {items for items, _ in without}
     # result sets agree regardless
