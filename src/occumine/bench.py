@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from .dataio import load_database
 from .errors import PlanError
@@ -77,11 +77,42 @@ class BenchPlan:
                     yield alpha, beta, gamma
 
 
-def parse_float_list(value: str) -> tuple[float, ...]:
+#: The keys of a plan; ``occumine bench`` takes the same ones as flags.
+PLAN_KEYS = ("data", "utility", "alphas", "betas", "gammas", "strategies", "repetitions")
+
+
+def _split(value: str) -> list[str]:
+    return [part.strip() for part in value.split(",") if part.strip()]
+
+
+def plan_from_values(values: Mapping[str, str]) -> BenchPlan:
+    """Build a plan from the raw text value of each key of :func:`parse_plan`;
+    every key but ``strategies`` and ``repetitions`` is required."""
+    missing = [key for key in PLAN_KEYS[:5] if key not in values]
+    if missing:
+        raise PlanError(f"plan is missing keys: {missing}")
+
+    def numbers(key: str) -> tuple[float, ...]:
+        try:
+            return tuple(map(float, _split(values[key])))
+        except ValueError as exc:
+            raise PlanError(f"bad number list for {key}: {exc}") from None
+
+    data_paths, utility_paths = _split(values["data"]), _split(values["utility"])
+    if len(data_paths) != len(utility_paths):
+        raise PlanError("data and utility path lists must have the same length")
     try:
-        return tuple(float(part) for part in value.split(",") if part.strip())
-    except ValueError as exc:
-        raise PlanError(f"bad number list {value!r}: {exc}") from None
+        repetitions = int(values.get("repetitions", "1"))
+    except ValueError:
+        raise PlanError(f"bad repetitions {values['repetitions']!r}") from None
+    return BenchPlan(
+        datasets=tuple(zip(data_paths, utility_paths)),
+        alphas=numbers("alphas"),
+        betas=numbers("betas"),
+        gammas=numbers("gammas"),
+        presets=tuple(_split(values.get("strategies", "full"))),
+        repetitions=repetitions,
+    )
 
 
 def parse_plan(text: str) -> BenchPlan:
@@ -89,7 +120,9 @@ def parse_plan(text: str) -> BenchPlan:
 
     Keys: data, utility (comma-separated path lists of equal length),
     alphas, betas, gammas (comma-separated numbers), strategies
-    (comma-separated preset names), repetitions.  ``#`` starts a comment.
+    (comma-separated preset names, default ``full``), repetitions
+    (default 1).  ``#`` starts a comment.  A key that is unknown or given
+    twice is an error naming its line.
     """
     values: dict[str, str] = {}
     for number, raw in enumerate(text.split("\n"), start=1):
@@ -99,34 +132,13 @@ def parse_plan(text: str) -> BenchPlan:
         if "=" not in line:
             raise PlanError(f"line {number}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-
-    required = {"data", "utility", "alphas", "betas", "gammas"}
-    missing = required - values.keys()
-    if missing:
-        raise PlanError(f"plan is missing keys: {sorted(missing)}")
-
-    data_paths = [p.strip() for p in values["data"].split(",") if p.strip()]
-    utility_paths = [p.strip() for p in values["utility"].split(",") if p.strip()]
-    if len(data_paths) != len(utility_paths):
-        raise PlanError("data and utility path lists must have the same length")
-
-    presets = tuple(
-        p.strip() for p in values.get("strategies", "full").split(",") if p.strip()
-    )
-    try:
-        repetitions = int(values.get("repetitions", "1"))
-    except ValueError:
-        raise PlanError(f"bad repetitions {values['repetitions']!r}") from None
-
-    return BenchPlan(
-        datasets=tuple(zip(data_paths, utility_paths)),
-        alphas=parse_float_list(values["alphas"]),
-        betas=parse_float_list(values["betas"]),
-        gammas=parse_float_list(values["gammas"]),
-        presets=presets,
-        repetitions=repetitions,
-    )
+        key = key.strip()
+        if key in values:
+            raise PlanError(f"line {number}: key {key!r} is given twice")
+        if key not in PLAN_KEYS:
+            raise PlanError(f"line {number}: unknown key {key!r} (known: {', '.join(PLAN_KEYS)})")
+        values[key] = value.strip()
+    return plan_from_values(values)
 
 
 def run_plan(plan: BenchPlan) -> list[dict[str, object]]:

@@ -124,6 +124,16 @@ def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
                         help="minimum probability fraction, in [0, 1]")
 
 
+def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--max-quantity", type=_positive_int, default=5)
+    parser.add_argument("--max-utility", type=_positive_int, default=20)
+    parser.add_argument("--prob-min", type=_fraction, default=0.1)
+    parser.add_argument("--prob-max", type=_fraction, default=1.0)
+    parser.add_argument("--data", required=True, help="output transactions file")
+    parser.add_argument("--utility", required=True, help="output unit-utility file")
+
+
 def _cmd_mine(args: argparse.Namespace) -> int:
     db = load_database(args.data, args.utility)
     thresholds = Thresholds(args.alpha, args.beta, args.gamma)
@@ -164,21 +174,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    flags = {key: getattr(args, key) for key in bench_mod.PLAN_KEYS}
+    flags = {key: value for key, value in flags.items() if value is not None}
     if args.plan:
+        if flags:
+            given = ", ".join(f"--{key}" for key in flags)
+            raise PlanError(f"--plan cannot be combined with {given}")
         plan = bench_mod.parse_plan(Path(args.plan).read_text(encoding="utf-8"))
     else:
-        if not (args.data and args.utility and args.alphas and args.betas and args.gammas):
-            raise PlanError(
-                "without --plan, all of --data --utility --alphas --betas --gammas are required"
-            )
-        plan = bench_mod.BenchPlan(
-            datasets=((args.data, args.utility),),
-            alphas=bench_mod.parse_float_list(args.alphas),
-            betas=bench_mod.parse_float_list(args.betas),
-            gammas=bench_mod.parse_float_list(args.gammas),
-            presets=tuple(p.strip() for p in args.strategies.split(",") if p.strip()),
-            repetitions=args.repetitions,
-        )
+        plan = bench_mod.plan_from_values(flags)
     rows = bench_mod.run_plan(plan)
     _emit(bench_mod.rows_to_csv(rows), args.output)
     return 0
@@ -251,42 +255,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.set_defaults(func=_cmd_stats)
 
     p_bench = sub.add_parser("bench", help="run a threshold/strategy sweep, emit CSV")
-    p_bench.add_argument("--plan", help="plan file (key=value lines)")
-    p_bench.add_argument("--data", help="transactions file (inline plan)")
-    p_bench.add_argument("--utility", help="unit-utility file (inline plan)")
+    p_bench.add_argument("--plan", help="plan file (key=value lines); takes no other plan flag")
+    p_bench.add_argument("--data", help="comma-separated transactions files (inline plan)")
+    p_bench.add_argument("--utility", help="comma-separated unit-utility files (inline plan)")
     p_bench.add_argument("--alphas", help="comma-separated alpha values")
     p_bench.add_argument("--betas", help="comma-separated beta values")
     p_bench.add_argument("--gammas", help="comma-separated gamma values")
-    p_bench.add_argument("--strategies", default="full",
-                         help="comma-separated presets (default: full)")
-    p_bench.add_argument("--repetitions", type=_positive_int, default=1)
+    p_bench.add_argument("--strategies", help="comma-separated presets (default: full)")
+    p_bench.add_argument("--repetitions", help="runs per point and preset (default: 1)")
     p_bench.add_argument("--output", help="write CSV here instead of stdout")
     p_bench.set_defaults(func=_cmd_bench)
 
     p_gen = sub.add_parser("generate", help="generate a synthetic database")
-    p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--transactions", type=_positive_int, required=True)
     p_gen.add_argument("--items", type=_positive_int, required=True)
     p_gen.add_argument("--avg-length", type=_mean_length, required=True,
                        help="mean transaction length, a finite number >= 1")
-    p_gen.add_argument("--max-quantity", type=_positive_int, default=5)
-    p_gen.add_argument("--max-utility", type=_positive_int, default=20)
-    p_gen.add_argument("--prob-min", type=_fraction, default=0.1)
-    p_gen.add_argument("--prob-max", type=_fraction, default=1.0)
-    p_gen.add_argument("--data", required=True, help="output transactions file")
-    p_gen.add_argument("--utility", required=True, help="output unit-utility file")
+    _add_generator_flags(p_gen)
     p_gen.set_defaults(func=_cmd_generate)
 
     p_aug = sub.add_parser("augment", help="attach quantities/probabilities/utilities "
                                            "to plain transactions")
     p_aug.add_argument("--input", required=True, help="plain transactions, items per line")
-    p_aug.add_argument("--seed", type=int, required=True)
-    p_aug.add_argument("--max-quantity", type=_positive_int, default=5)
-    p_aug.add_argument("--max-utility", type=_positive_int, default=20)
-    p_aug.add_argument("--prob-min", type=_fraction, default=0.1)
-    p_aug.add_argument("--prob-max", type=_fraction, default=1.0)
-    p_aug.add_argument("--data", required=True, help="output transactions file")
-    p_aug.add_argument("--utility", required=True, help="output unit-utility file")
+    _add_generator_flags(p_aug)
     p_aug.set_defaults(func=_cmd_augment)
 
     return parser
@@ -295,6 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("generate", "augment") and args.prob_min > args.prob_max:
+        parser.error(f"--prob-min {args.prob_min} is above --prob-max {args.prob_max}")
     try:
         return args.func(args)
     except EnumerationBudgetError as exc:

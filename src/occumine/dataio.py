@@ -270,9 +270,7 @@ def parse_database(
         quantities.extend(block_quantities)
         probabilities.extend(block_probabilities)
         totals.extend(block_totals)
-    table = TransactionTable(
-        range(1, len(totals) + 1), ends, totals, items, quantities, probabilities
-    )
+    table = TransactionTable(ends, totals, items, quantities, probabilities)
     db = UncertainDatabase(table, utilities)
     # Every line passed the checks validate_database makes.
     db.record_verdict(())
@@ -299,9 +297,11 @@ def write_database(db: UncertainDatabase) -> tuple[str, str]:
     Occurrence order inside transactions is preserved, so the round trip
     through :func:`parse_database` reproduces the database exactly.
     """
-    for item in db.unit_utilities:
+    for item, value in db.unit_utilities.items():
         if not _ITEM_RE.match(item):
             raise ValueError(f"item id {item!r} cannot be serialized")
+        if not math.isfinite(value):
+            raise ValueError(f"unit utility {value} of item {item!r} cannot be serialized")
 
     table = db.transactions
     tokens = list(
@@ -389,19 +389,6 @@ def _draw_length(rng: random.Random, config: GeneratorConfig) -> int:
     return max(1, min(length, config.num_items))
 
 
-def _build_finite(
-    rows: list[list[tuple[str, int, float]]], utilities: dict[str, float]
-) -> UncertainDatabase:
-    """:func:`build_database`, refusing a row whose total utility is not
-    finite, which no database file can hold."""
-    db = build_database(rows, utilities)
-    table = db.transactions
-    for tid, tu in zip(table.tids, table.tu):
-        if not math.isfinite(tu):
-            raise ValueError(f"row {tid}: total utility is not a finite number")
-    return db
-
-
 def generate(config: GeneratorConfig) -> UncertainDatabase:
     """Deterministically generate a synthetic uncertain database.
 
@@ -432,7 +419,7 @@ def generate(config: GeneratorConfig) -> UncertainDatabase:
                 for item in sorted(chosen)
             ]
         )
-    return _build_finite(rows, utilities)
+    return build_database(rows, utilities)
 
 
 def augment(plain_text: str | bytes, config: GeneratorConfig) -> UncertainDatabase:
@@ -474,4 +461,4 @@ def augment(plain_text: str | bytes, config: GeneratorConfig) -> UncertainDataba
         rows.append(
             [(item, quantities[item], _draw_probability(rng, config)) for item in ordered]
         )
-    return _build_finite(rows, utilities)
+    return build_database(rows, utilities)

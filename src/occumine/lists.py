@@ -95,7 +95,7 @@ def item_columns(db: UncertainDatabase, items: Iterable[str]) -> ItemColumns:
         compress(table.items, kept),
         compress(table.quantities, kept),
         compress(table.probabilities, kept),
-        compress(table.per_occurrence(table.tids), kept),
+        compress(table.per_occurrence(range(1, len(table) + 1)), kept),
         compress(table.per_occurrence(table.tu), kept),
     ):
         tids, pro, uo = columns[item]

@@ -190,7 +190,7 @@ def oracle_measures(
         table.items,
         table.quantities,
         table.probabilities,
-        table.per_occurrence(table.tids),
+        table.per_occurrence(range(1, len(table) + 1)),
         table.per_occurrence(table.tu),
     ):
         held[item][tid] = (quantity * db.unit_utilities[item], p, tu)

@@ -17,15 +17,16 @@ enforces every invariant the check looks for.  Direct construction and
 
 A database keeps its transactions in one :class:`TransactionTable`:
 database-wide columns that are exact tuples of ints, floats or strings.
-Per transaction it holds the tid, the end offset of its occurrences and
-its total utility; per occurrence, in transaction order, the item, the
-quantity and the probability.  CPython's cyclic garbage collector stops
-tracking such tuples after the first collection they survive, so a
-loaded database leaves a constant number of GC-tracked objects however
-many transactions it holds, and collections during and after loading
-have nothing of it to walk.  The passes over the whole database (the
-miner's set-up, the oracle's enumeration, validation and writing) read
-the columns.  Indexing or iterating the table builds a fresh
+Per transaction it holds the end offset of its occurrences and its total
+utility; per occurrence, in transaction order, the item, the quantity
+and the probability.  No tid is stored: a transaction's tid is its
+1-based position.  CPython's cyclic garbage collector stops tracking
+such tuples after the first collection they survive, so a loaded
+database leaves a constant number of GC-tracked objects however many
+transactions it holds, and collections during and after loading have
+nothing of it to walk.  The passes over the whole database (the miner's
+set-up, the oracle's enumeration, validation and writing) read the
+columns.  Indexing or iterating the table builds a fresh
 :class:`Transaction` per access, and nothing caches it; for readers
 outside the package, ``Transaction.occurrences`` builds
 :class:`ItemOccurrence` records on demand in turn.
@@ -68,14 +69,14 @@ class ItemOccurrence:
 
 @dataclass(frozen=True)
 class Transaction:
-    """A transaction with a 1-based tid and its precomputed total utility ``tu``.
+    """A transaction and its precomputed total utility ``tu``; its tid is
+    its 1-based position in the table that holds it.
 
     The k-th occurrence is ``items[k]`` bought ``quantities[k]`` times
     with probability ``probabilities[k]``; the three columns have equal
     length.
     """
 
-    tid: int
     items: tuple[str, ...]
     quantities: tuple[int, ...]
     probabilities: tuple[float, ...]
@@ -94,10 +95,10 @@ class Transaction:
 class TransactionTable(Sequence):
     """Every transaction of a database, as flat columns.
 
-    Per transaction, in database order: ``tids``, ``ends`` (the end
-    offset of its occurrences in the occurrence columns; it starts where
-    the previous one ends) and ``tu``.  Per occurrence, transaction by
-    transaction: ``items``, ``quantities`` and ``probabilities``.  Each
+    Per transaction, in database order (the k-th has tid k): ``ends``
+    (the end offset of its occurrences in the occurrence columns; it
+    starts where the previous one ends) and ``tu``.  Per occurrence,
+    transaction by transaction: ``items``, ``quantities`` and ``probabilities``.  Each
     column is stored as an exact tuple, whatever iterable is passed in.
 
     The table is a read-only sequence of :class:`Transaction`: ``len``,
@@ -105,7 +106,6 @@ class TransactionTable(Sequence):
     builds a fresh ``Transaction``; none is cached.
     """
 
-    tids: tuple[int, ...]
     ends: tuple[int, ...]
     tu: tuple[float, ...]
     items: tuple[str, ...]
@@ -117,7 +117,7 @@ class TransactionTable(Sequence):
             object.__setattr__(self, column.name, tuple(getattr(self, column.name)))
         occurrences = self.ends[-1] if self.ends else 0
         if not (
-            len(self.tids) == len(self.ends) == len(self.tu)
+            len(self.ends) == len(self.tu)
             and occurrences == len(self.items) == len(self.quantities) == len(self.probabilities)
             and all(map(le, chain((0,), self.ends), self.ends))
         ):
@@ -125,22 +125,21 @@ class TransactionTable(Sequence):
 
     @classmethod
     def from_transactions(cls, transactions: Iterable[Transaction]) -> TransactionTable:
-        """Flatten ``transactions`` into a table, keeping their order and tids.
+        """Flatten ``transactions`` into a table, keeping their order.
 
         Raises ``ValueError`` for a transaction whose three occurrence
         columns differ in length, which the table cannot hold.
         """
-        tids, ends, tus, items, quantities, probabilities = [], [], [], [], [], []
-        for t in transactions:
+        ends, tus, items, quantities, probabilities = [], [], [], [], []
+        for tid, t in enumerate(transactions, 1):
             if not len(t.items) == len(t.quantities) == len(t.probabilities):
-                raise ValueError(str(Violation("columns differ in length", tid=t.tid)))
-            tids.append(t.tid)
+                raise ValueError(str(Violation("columns differ in length", tid=tid)))
             tus.append(t.tu)
             items.extend(t.items)
             quantities.extend(t.quantities)
             probabilities.extend(t.probabilities)
             ends.append(len(items))
-        return cls(tids, ends, tus, items, quantities, probabilities)
+        return cls(ends, tus, items, quantities, probabilities)
 
     def spans(self) -> Iterator[slice]:
         """The slice of the occurrence columns each transaction holds, in order."""
@@ -151,13 +150,12 @@ class TransactionTable(Sequence):
         return map(sub, self.ends, chain((0,), self.ends))
 
     def per_occurrence(self, column: Iterable) -> Iterator:
-        """Repeat each transaction's entry of ``column`` (``tids`` or ``tu``,
-        say) once per occurrence, so it runs alongside ``items``."""
+        """Repeat each transaction's entry of ``column`` (``tu``, say) once
+        per occurrence, so it runs alongside ``items``."""
         return chain.from_iterable(map(repeat, column, self.lengths()))
 
     def _transaction(self, k: int, span: slice) -> Transaction:
         return Transaction(
-            self.tids[k],
             self.items[span],
             self.quantities[span],
             self.probabilities[span],
@@ -165,7 +163,7 @@ class TransactionTable(Sequence):
         )
 
     def __len__(self) -> int:
-        return len(self.tids)
+        return len(self.ends)
 
     def __getitem__(self, key):
         if isinstance(key, slice):
@@ -182,8 +180,9 @@ class UncertainDatabase:
     """An immutable uncertain quantitative transaction database.
 
     ``transactions`` is given as a :class:`TransactionTable` or as any
-    iterable of :class:`Transaction`, which is flattened into one; tids
-    are kept as given, gaps and all.
+    iterable of :class:`Transaction`, which is flattened into one.  A
+    transaction's tid is its 1-based position, also in a sub-database
+    made with ``dataclasses.replace(db, transactions=subset)``.
 
     ``unit_utilities`` may contain extra entries for items that never
     occur; it must cover every item that does.  It is stored as a
@@ -241,14 +240,11 @@ class UncertainDatabase:
         return len(self.transactions)
 
     def transaction(self, tid: int) -> Transaction:
-        """The transaction with this tid; ``ValueError`` when none has it."""
-        tids = self.transactions.tids
-        # A table without gaps holds tid k at position k - 1.
-        if 0 < tid <= len(tids) and tids[tid - 1] == tid:
-            return self.transactions[tid - 1]
-        if tid not in tids:
+        """The transaction at position ``tid - 1``; ``ValueError`` when
+        ``tid`` is not in 1..len(self)."""
+        if not 0 < tid <= len(self):
             raise ValueError(f"no transaction with tid {tid}")
-        return self.transactions[tids.index(tid)]
+        return self.transactions[tid - 1]
 
 
 def build_database(
@@ -258,15 +254,14 @@ def build_database(
     """Assemble a database from raw (item, quantity, probability) rows.
 
     Serves the generator, ``augment`` and hand-built databases; the
-    parser builds its table straight from its own columns.
-    Assigns 1-based tids in row order, transposes each row into the
-    transaction's columns and sums its total utility from
-    ``unit_utilities`` in the same left-to-right order the parser and
-    :func:`validate_database` use.  Raises ``KeyError`` when an item has
-    no utility entry, and ``ValueError`` naming the row when a quantity is
-    too large for a float.  A total that overflows to infinity is kept;
-    structural invariants beyond these are the caller's job (see
-    :func:`validate_database`).
+    parser builds its table straight from its own columns.  Row k becomes
+    tid k: it is transposed into the transaction's columns, and its total
+    utility is summed from ``unit_utilities`` in the same left-to-right
+    order the parser and :func:`validate_database` use.  Raises
+    ``KeyError`` when an item has no utility entry, and ``ValueError``
+    naming the row whose total utility is not a finite number, which no
+    database file can hold.  Structural invariants beyond these are the
+    caller's job (see :func:`validate_database`).
     """
     transactions = []
     for tid, row in enumerate(rows, start=1):
@@ -275,9 +270,11 @@ def build_database(
         try:
             for item, quantity in zip(items, quantities):
                 tu += quantity * unit_utilities[item]
-        except OverflowError:
-            raise ValueError(f"row {tid}: total utility is not a finite number") from None
-        transactions.append(Transaction(tid, items, quantities, probabilities, tu))
+        except OverflowError:  # a quantity too large for a float
+            tu = math.inf
+        if not math.isfinite(tu):
+            raise ValueError(f"row {tid}: total utility is not a finite number")
+        transactions.append(Transaction(items, quantities, probabilities, tu))
     return UncertainDatabase(tuple(transactions), unit_utilities)
 
 
@@ -393,14 +390,14 @@ def validate_database(db: UncertainDatabase) -> list[Violation]:
     violations: list[Violation] = []
 
     for item, value in db.unit_utilities.items():
-        if value < 0:
+        if not math.isfinite(value):
+            violations.append(Violation("unit utility is not a finite number", item=item))
+        elif value < 0:
             violations.append(Violation("unit utility is negative", item=item))
 
     utilities = db.unit_utilities
     table = db.transactions
-    for position, (tid, span, tu) in enumerate(zip(table.tids, table.spans(), table.tu), 1):
-        if tid != position:
-            violations.append(Violation(f"tid out of sequence (expected {position})", tid=tid))
+    for tid, (span, tu) in enumerate(zip(table.spans(), table.tu), 1):
         items = table.items[span]
         seen: set[str] = set()
         recomputed = 0.0

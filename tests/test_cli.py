@@ -290,6 +290,58 @@ def test_bench_plan_file_nan_threshold_exits_2(tmp_path, capsys):
     assert "alpha must be in (0, 1], got nan" in err
 
 
+PLAN_TEXT = (
+    f"data = {EXAMPLE_TRANSACTIONS}\n"
+    f"utility = {EXAMPLE_UTILITIES}\n"
+    "alphas = 0.3\n"
+    "betas = 0.3\n"
+    "gammas = 0.05\n"
+)
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("strategy = s1\n", "line 6: unknown key 'strategy'"),
+        ("repetition = 3\n", "line 6: unknown key 'repetition'"),
+        ("betas = 0.4\n", "line 6: key 'betas' is given twice"),
+    ],
+)
+def test_bench_plan_file_bad_key_exits_2(tmp_path, capsys, extra, message):
+    plan = tmp_path / "plan.txt"
+    plan.write_text(PLAN_TEXT + extra)
+    code, out, err = run(["bench", "--plan", str(plan)], capsys)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_bench_plan_file_takes_no_plan_flag(tmp_path, capsys):
+    plan = tmp_path / "plan.txt"
+    plan.write_text(PLAN_TEXT)
+    code, out, err = run(
+        ["bench", "--plan", str(plan), "--alphas", "0.9", "--strategies", "s1"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert "--plan cannot be combined with --alphas, --strategies" in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--alphas", "0.3", "--betas", "0.3"], "plan is missing keys: ['gammas']"),
+        (["--alphas", "0.3", "--betas", "0.3", "--gammas", "x"], "bad number list for gammas"),
+        (["--alphas", "0.3", "--betas", "0.3", "--gammas", "0", "--repetitions", "0"],
+         "repetitions must be >= 1"),
+        (["--alphas", "0.3", "--betas", "0.3", "--gammas", "0", "--strategies", "s2"],
+         "unknown strategy preset 's2'"),
+    ],
+)
+def test_bench_bad_inline_plan_exits_2(capsys, flags, message):
+    code, out, err = run(["bench", *EXAMPLE_FLAGS, *flags], capsys)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_bench_gamma_sweep_row_counts(capsys):
     code, out, _ = run(
         ["bench", *EXAMPLE_FLAGS, "--alphas", "0.3", "--betas", "0.3",
@@ -395,6 +447,21 @@ def test_huge_max_quantity_exits_1(tmp_path, capsys, command, zeros):
     assert (code, out) == (1, "")
     assert err.startswith("occumine: row ") and err.count("\n") == 1
     assert "not a finite number" in err
+    assert not data.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "augment"])
+def test_inverted_probability_range_exits_2(tmp_path, capsys, command):
+    source = {
+        "generate": ["--transactions", "5", "--items", "3", "--avg-length", "2"],
+        "augment": ["--input", str(tmp_path / "plain.txt")],
+    }[command]
+    data = tmp_path / "d.txt"
+    with pytest.raises(SystemExit) as info:
+        main([command, "--seed", "1", *source, "--prob-min", "0.5", "--prob-max", "0.4",
+              "--data", str(data), "--utility", str(tmp_path / "u.txt")])
+    assert info.value.code == 2
+    assert "--prob-min 0.5 is above --prob-max 0.4" in capsys.readouterr().err
     assert not data.exists()
 
 

@@ -1,4 +1,5 @@
 import gc
+import math
 
 import pytest
 
@@ -9,6 +10,7 @@ from occumine import (
     ParseError,
     Thresholds,
     augment,
+    build_database,
     generate,
     mine,
     parse_database,
@@ -27,7 +29,7 @@ def test_parse_single_line():
     db = parse_database("a:2:0.6 c:4:0.8 d:7:0.5\n", UTILITY_TEXT)
     assert len(db) == 1
     t1 = db.transactions[0]
-    assert t1.tid == 1
+    assert db.transaction(1) == t1
     assert t1.tu == 65
     assert [(o.item, o.quantity, o.probability) for o in t1.occurrences] == [
         ("a", 2, 0.6),
@@ -45,7 +47,7 @@ def test_parse_empty_stream():
 def test_parse_skips_comments_and_blank_lines():
     text = "# header\n\na:1:0.5\n   \nc:2:0.25\n"
     db = parse_database(text, UTILITY_TEXT)
-    assert [t.tid for t in db.transactions] == [1, 2]
+    assert [db.transaction(tid).items for tid in (1, 2)] == [("a",), ("c",)]
 
 
 def test_parse_accepts_crlf():
@@ -124,8 +126,6 @@ def test_multi_block_file_parses_like_token_parser():
     rows = _token_rows(text, UTILITY_TEXT)
     assert len(db) == len(rows) == 2 * dataio._BLOCK_LINES + 4
     assert [(t.items, t.quantities, t.probabilities, t.tu) for t in db.transactions] == rows
-    # Tids count content lines only.
-    assert [t.tid for t in db.transactions] == list(range(1, len(db) + 1))
 
 
 def test_error_on_first_line_of_second_block_names_file_line_and_column():
@@ -165,12 +165,17 @@ def test_invalid_unknown_item_is_a_parse_error_at_its_column():
     assert "invalid item id 'q-x'" in str(info.value)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_write_refuses_a_non_finite_unit_utility(value):
+    db = build_database([[("a", 1, 0.5)]], {"a": 1.0, "b": value})
+    with pytest.raises(ValueError, match=f"^unit utility {value} of item 'b' cannot be serialized$"):
+        write_database(db)
+
+
 def test_parsed_columns_are_not_gc_tracked(example_db):
     gc.collect()
     table = example_db.transactions
-    for column in (
-        table.tids, table.ends, table.tu, table.items, table.quantities, table.probabilities
-    ):
+    for column in (table.ends, table.tu, table.items, table.quantities, table.probabilities):
         assert type(column) is tuple
         assert not gc.is_tracked(column)
 

@@ -1,7 +1,11 @@
+import ast
 import dataclasses
 import itertools
+from pathlib import Path
 
 import pytest
+
+from occumine import measures
 
 from occumine import (
     EnumerationBudgetError,
@@ -148,16 +152,19 @@ def test_total_order_with_given_counts_matches_recount(request, name):
         assert order.rank == {item: r for r, item in enumerate(expected)}
 
 
-def test_transaction_is_found_by_tid_across_gaps(example_db):
+def test_transaction_is_found_by_position(example_db):
+    for tid, t in enumerate(example_db.transactions, 1):
+        assert example_db.transaction(tid) == t
     t1, _, t3 = example_db.transactions[:3]
     db = dataclasses.replace(example_db, transactions=(t1, t3))
     assert db.transaction(1) == t1
-    assert db.transaction(3) == t3
-    for missing in (0, 2, 4):
+    assert db.transaction(2) == t3
+    # A negative tid never wraps around to the end.
+    for missing in (0, -1, -2, 3):
         with pytest.raises(ValueError, match=f"^no transaction with tid {missing}$"):
             db.transaction(missing)
-    with pytest.raises(ValueError, match="no transaction with tid 2"):
-        remaining_utility_occupancy({"a"}, 2, db, total_order(db))
+    with pytest.raises(ValueError, match="no transaction with tid 3"):
+        remaining_utility_occupancy({"a"}, 3, db, total_order(db))
 
 
 def test_total_order_single_item(example_db):
@@ -248,7 +255,7 @@ def test_anti_monotone_support_and_probability(seed):
 def test_per_transaction_share_bounds(seed):
     db = _random_db(seed)
     order = total_order(db)
-    for t in db.transactions:
+    for tid, t in enumerate(db.transactions, 1):
         items = sorted(t.items)
         quantity = dict(zip(t.items, t.quantities))
         for length in (1, 2, min(3, len(items))):
@@ -256,7 +263,7 @@ def test_per_transaction_share_bounds(seed):
                 u = sum(quantity[i] * db.unit_utilities[i] for i in itemset)
                 share = u / t.tu
                 assert 0.0 < share <= 1.0 + 1e-9
-                ruo = remaining_utility_occupancy(itemset, t.tid, db, order)
+                ruo = remaining_utility_occupancy(itemset, tid, db, order)
                 assert share + ruo <= 1.0 + 1e-9
 
 
@@ -267,3 +274,16 @@ def test_occupancy_lies_in_unit_interval(seed):
         for itemset in itertools.combinations(db.item_universe, length):
             if support_count(itemset, db) > 0:
                 assert 0.0 < utility_occupancy(itemset, db) <= 1.0 + 1e-9
+
+
+def test_oracle_imports_nothing_from_the_miner():
+    # The oracle is the ground truth: a fault in the lists or the search
+    # must not show in both.
+    imported = []
+    for node in ast.walk(ast.parse(Path(measures.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+    assert imported
+    assert [name for name in imported if {"lists", "miner"} & set(name.split("."))] == []

@@ -166,7 +166,7 @@ def test_strategy_presets():
 def test_mine_rejects_invalid_database(example_db):
     t1 = example_db.transactions[0]
     tampered = (
-        Transaction(1, t1.items, t1.quantities, t1.probabilities, 64.0),
+        Transaction(t1.items, t1.quantities, t1.probabilities, 64.0),
     ) + example_db.transactions[1:]
     db = type(example_db)(tampered, example_db.unit_utilities)
     with pytest.raises(DatabaseValidationError):
@@ -203,7 +203,7 @@ def test_mine_rejects_a_tampered_database_every_time(example_db, monkeypatch):
     calls = _counting_validator(monkeypatch)
     t1 = example_db.transactions[0]
     tampered = (
-        Transaction(1, t1.items, t1.quantities, t1.probabilities, 64.0),
+        Transaction(t1.items, t1.quantities, t1.probabilities, 64.0),
     ) + example_db.transactions[1:]
     db = type(example_db)(tampered, example_db.unit_utilities)
     for _ in range(2):
@@ -341,3 +341,31 @@ def test_gamma_zero_matches_certain_semantics():
     assert zero == mine(db, Thresholds(0.2, 0.2, 0.2)).patterns
     assert zero == mine(db, Thresholds(0.2, 0.2, 0.1)).patterns
     assert len(zero) > 0
+
+
+def _exact(outcome):
+    """Records with their floats as hex, and every counter but the wall time."""
+    records = [
+        (r.items, r.support, r.probability.hex(), r.utility_occupancy.hex())
+        for r in outcome.patterns
+    ]
+    counters = {k: v for k, v in outcome.stats.as_dict().items() if k != "elapsed_ms"}
+    return records, counters
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_mining_a_subset_equals_mining_its_lines(preset):
+    # A sub-database numbers its transactions by position, as the parser
+    # numbers the lines it keeps.
+    db = generate(
+        GeneratorConfig(seed=5, num_transactions=150, num_items=10, avg_transaction_length=4.0)
+    )
+    data_text, utility_text = write_database(db)
+    lines = data_text.splitlines()
+    positions = [p for p in range(len(db)) if p % 3 != 1]
+    sub = dataclasses.replace(db, transactions=tuple(db.transactions[p] for p in positions))
+    parsed = parse_database("\n".join(lines[p] for p in positions), utility_text)
+    thresholds = Thresholds(0.1, 0.2, 0.02)
+    got = _exact(mine(sub, thresholds, PRESETS[preset]))
+    assert got[0]
+    assert got == _exact(mine(parsed, thresholds, PRESETS[preset]))

@@ -1,13 +1,16 @@
 import copy
 import dataclasses
+import math
 import pickle
 
 import pytest
 
 from occumine import (
+    DatabaseValidationError,
     PatternRecord,
     Thresholds,
     build_database,
+    mine,
     validate_database,
 )
 from occumine.model import ItemOccurrence, Transaction, min_support_count
@@ -35,7 +38,7 @@ def test_zero_probability_is_flagged():
 def test_tu_mismatch_is_flagged(example_db):
     t1 = example_db.transactions[0]
     tampered = example_db.transactions[:0] + (
-        Transaction(1, t1.items, t1.quantities, t1.probabilities, 64.0),
+        Transaction(t1.items, t1.quantities, t1.probabilities, 64.0),
     ) + example_db.transactions[1:]
     db = type(example_db)(tampered, example_db.unit_utilities)
     violations = validate_database(db)
@@ -44,16 +47,36 @@ def test_tu_mismatch_is_flagged(example_db):
 
 
 def test_non_finite_utility_is_flagged():
-    db = build_database([[("a", 1, 0.5)], [("a", 2, 0.5)]], {"a": 1e308})
+    # build_database refuses a non-finite total, so the constructor builds it.
+    finite = build_database([[("a", 1, 0.5)]], {"a": 1e308})
+    infinite = Transaction(("a",), (2,), (0.5,), math.inf)
+    db = type(finite)((finite.transactions[0], infinite), finite.unit_utilities)
     violations = validate_database(db)
     assert [v.tid for v in violations] == [2]
     assert "not a finite number" in violations[0].message
 
 
+@pytest.mark.parametrize("value", [1e308, math.inf, math.nan])
+def test_build_database_refuses_a_non_finite_total(value):
+    with pytest.raises(ValueError, match=r"^row 2: total utility is not a finite number$"):
+        build_database([[("b", 1, 0.5)], [("b", 1, 0.5), ("a", 2, 0.5)]], {"a": value, "b": 1.0})
+
+
+def test_non_finite_unit_utility_is_flagged():
+    db = build_database([[("a", 1, 0.5)]], {"a": 1.0, "b": math.nan, "c": math.inf})
+    violations = validate_database(db)
+    assert [(v.message, v.item) for v in violations] == [
+        ("unit utility is not a finite number", "b"),
+        ("unit utility is not a finite number", "c"),
+    ]
+    with pytest.raises(DatabaseValidationError, match="item 'b'"):
+        mine(db, Thresholds(0.5, 0.5, 0.5))
+
+
 def test_duplicate_item_and_missing_utility_are_flagged():
     db = build_database([[("a", 1, 0.5)]], {"a": 2.0, "b": 1.0})
     t = db.transactions[0]
-    bad = Transaction(1, t.items * 2, t.quantities * 2, t.probabilities * 2, 4.0)
+    bad = Transaction(t.items * 2, t.quantities * 2, t.probabilities * 2, 4.0)
     tampered = type(db)((bad,), {"b": 1.0})
     messages = [v.message for v in validate_database(tampered)]
     assert any("duplicate item" in m for m in messages)
@@ -64,7 +87,7 @@ def test_column_length_mismatch_is_flagged(example_db):
     # A database holds its occurrences in flat columns, which cannot hold
     # a ragged transaction, so it is refused at construction.
     t1 = example_db.transactions[0]
-    ragged = Transaction(1, t1.items, t1.quantities[:-1], t1.probabilities, t1.tu)
+    ragged = Transaction(t1.items, t1.quantities[:-1], t1.probabilities, t1.tu)
     with pytest.raises(ValueError, match=r"^columns differ in length \(tid 1\)$"):
         type(example_db)(
             (ragged,) + example_db.transactions[1:],
@@ -80,12 +103,6 @@ def test_build_database_transposes_rows():
     )
     assert (t2.items, t2.quantities, t2.probabilities, t2.tu) == ((), (), (), 0.0)
     assert t1.occurrences == (ItemOccurrence("a", 2, 0.5), ItemOccurrence("b", 1, 1.0))
-
-
-def test_tid_gap_is_flagged(example_db):
-    shuffled = example_db.transactions[1:] + example_db.transactions[:1]
-    db = type(example_db)(shuffled, example_db.unit_utilities)
-    assert any("tid out of sequence" in v.message for v in validate_database(db))
 
 
 def test_unit_utilities_are_read_only(example_db):

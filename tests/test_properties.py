@@ -156,13 +156,13 @@ def test_single_item_lists_under_a_subset_order(db, data):
     singles = build_single_item_lists(item_columns(db, order.items), order)
     assert list(singles) == list(order.items)
     for item, (plist, _) in singles.items():
-        holding = [t for t in db.transactions if item in t.items]
-        assert plist.tids == [t.tid for t in holding]
-        for t, pro, uo, ruo in zip(holding, plist.pro, plist.uo, plist.ruo):
+        holding = [(tid, t) for tid, t in enumerate(db.transactions, 1) if item in t.items]
+        assert plist.tids == [tid for tid, _ in holding]
+        for (tid, t), pro, uo, ruo in zip(holding, plist.pro, plist.uo, plist.ruo):
             k = t.items.index(item)
             assert abs(pro - t.probabilities[k]) <= TOL
             assert abs(uo - t.quantities[k] * db.unit_utilities[item] / t.tu) <= TOL
-            assert abs(ruo - remaining_utility_occupancy((item,), t.tid, db, order)) <= TOL
+            assert abs(ruo - remaining_utility_occupancy((item,), tid, db, order)) <= TOL
     assert all(ruo == 0.0 for ruo in singles[order.items[-1]][0].ruo)
 
 
@@ -194,20 +194,20 @@ def test_transaction_table_gives_back_its_transactions(rows, weights, data):
     utilities = dict(zip(ITEMS, weights))
     db = build_database(rows, utilities)
     expected = []
-    for tid, row in enumerate(rows, start=1):
+    for row in rows:
         items, quantities, probs = zip(*row)
         tu = 0.0
         for item, quantity in zip(items, quantities):
             tu += quantity * utilities[item]
-        expected.append(Transaction(tid, items, quantities, probs, tu))
+        expected.append(Transaction(items, quantities, probs, tu))
 
     table = db.transactions
     assert len(table) == len(expected)
     assert tuple(table) == tuple(expected)
     for k, want in enumerate(expected):
         for got in (table[k], table[k - len(expected)]):
-            assert (got.tid, got.items, got.quantities, got.probabilities) == (
-                want.tid, want.items, want.quantities, want.probabilities
+            assert (got.items, got.quantities, got.probabilities) == (
+                want.items, want.quantities, want.probabilities
             )
             assert got.tu.hex() == want.tu.hex()
     assert table[1:-1] == tuple(expected[1:-1])
@@ -220,8 +220,12 @@ def test_transaction_table_gives_back_its_transactions(rows, weights, data):
     kept = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
     positions = [p for p, keep in enumerate(kept) if keep]
     sub = dataclasses.replace(db, transactions=tuple(table[p] for p in positions))
-    built = UncertainDatabase(tuple(expected[p] for p in positions), utilities)
-    assert [t.tid for t in sub.transactions] == [p + 1 for p in positions]
+    kept_transactions = [expected[p] for p in positions]
+    built = UncertainDatabase(tuple(kept_transactions), utilities)
+    assert sub == built
+    # A transaction's tid is its position, so the kept ones read back as tids 1..k.
+    assert list(sub.transactions) == kept_transactions
+    assert [sub.transaction(tid) for tid in range(1, len(positions) + 1)] == kept_transactions
     assert sub.item_supports == built.item_supports
     for length in (1, 2):
         for itemset in itertools.combinations(ITEMS, length):
@@ -422,7 +426,7 @@ def _token_parse(data, utility):
     """``parse_database`` as the per-token reference parser alone does it."""
     utilities = dataio.parse_utilities(utility)
     rows = dataio._parse_tokens(dataio._lines(dataio._decode(data)), utilities)
-    transactions = tuple(Transaction(tid, *row) for tid, row in enumerate(rows, start=1))
+    transactions = tuple(Transaction(*row) for row in rows)
     return UncertainDatabase(transactions, dict(utilities))
 
 
