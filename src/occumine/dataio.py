@@ -13,8 +13,14 @@ starting with ``#`` are comments, final newline optional:
   unit utilities non-negative.
 
 A transaction's total utility, summed left to right, must be positive
-and finite.  Every error names the file line and, where one token is at
-fault, its 1-based column.
+and finite.  Every error, invalid UTF-8 included, names the file line
+and, where one token is at fault, its 1-based column.
+
+Transactions are parsed as bytes, in blocks of raw lines (comment and
+blank lines count), each converted whole by a few C-level calls after
+one shape check.  A block that is not ASCII, holds a ``#`` or fails any
+check is decoded and parsed token by token by the reference parser, so
+the database and every error are the same on either path.
 
 Probabilities are written with however many digits round-trip exactly,
 and the parser accepts full precision, so parse(write(db)) == db.
@@ -25,11 +31,11 @@ from __future__ import annotations
 import math
 import random
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain, islice, repeat
-from operator import add, mul
+from itertools import accumulate, chain, repeat
+from operator import add, floordiv, mul
 from pathlib import Path
 
 from .errors import MissingUtilityError, ParseError
@@ -38,24 +44,57 @@ from .model import TransactionTable, UncertainDatabase, build_database
 _ITEM_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _TOKEN_RE = re.compile(r"\S+")
 
-#: Content lines per block of :func:`parse_database`.  One block's token
-#: and field lists are all the parser holds beyond the database it
-#: builds, so that overhead does not grow with the input.
+#: Raw lines per block of :func:`parse_database`.  One block's fields are
+#: all the parser holds beyond the input and the database it builds, so
+#: that overhead does not grow with the input.
 _BLOCK_LINES = 4096
+
+#: The ASCII bytes ``str.split`` splits on: tab, LF, VT, FF, CR, the
+#: separators 0x1c-0x1f, and space.
+_SPACES = bytes(c for c in range(128) if chr(c).isspace())
+_COLON = ord(":")
+#: Translation tables of :func:`_parse_block`'s shape check.  Each maps
+#: every byte of :data:`_SPACES` to a blank, so ``bytes.split`` then sees
+#: what ``str.split`` sees.
+_BLANK_SPACES = bytes(32 if c in _SPACES else c for c in range(256))
+_TOKEN_MARKS = bytes(32 if c in _SPACES else ord("x") for c in range(256))
+_BLANK_SEPARATORS = bytes(32 if c in _SPACES or c == _COLON else c for c in range(256))
+_FIELD_BYTES = bytes(c for c in range(256) if c not in _SPACES and c != _COLON)
 
 #: One parsed line: items, quantities, probabilities and total utility.
 _Row = tuple[tuple[str, ...], tuple[int, ...], tuple[float, ...], float]
 
 
 def _decode(text: str | bytes) -> str:
-    if isinstance(text, bytes):
+    """``text`` as a ``str``; invalid UTF-8 is a ParseError naming its line."""
+    if isinstance(text, str):
+        return text
+    try:
         return text.decode("utf-8")
+    except UnicodeDecodeError as error:
+        line = text.count(b"\n", 0, error.start) + 1
+        raise ParseError(f"invalid UTF-8 byte 0x{text[error.start]:02x}", line) from None
+
+
+def _encode(text: str | bytes) -> bytes:
+    """``text`` as UTF-8 bytes, checked as :func:`_decode` checks it.
+
+    A ``str`` is encoded with ``surrogatepass``, so that a block decoded
+    back with it reads the same characters, lone surrogates included.
+    """
+    if isinstance(text, str):
+        return text.encode("utf-8", "surrogatepass")
+    if not text.isascii():
+        _decode(text)
     return text
 
 
-def _lines(text: str):
-    """Yield (line_number, line) for content lines, skipping blanks and comments."""
-    for number, raw in enumerate(text.split("\n"), start=1):
+def _lines(text: str, first: int = 1):
+    """Yield (line_number, line) for content lines, skipping blanks and comments.
+
+    ``first`` is the file line number of the text's first line.
+    """
+    for number, raw in enumerate(text.split("\n"), start=first):
         line = raw.rstrip("\r")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -161,25 +200,54 @@ def _parse_tokens(numbered_lines, utilities: dict[str, float]) -> list[_Row]:
     return rows
 
 
-def _convert_tokens(
-    joined: str, utilities: dict[str, float], ids: dict[str, str]
-) -> tuple[tuple, tuple, tuple, tuple] | None:
-    """Convert the tokens of ``joined`` into occurrence columns, or return None.
+def _spans(ends: list[int]):
+    """Slices of each line's occurrences, given their end offsets."""
+    return map(slice, chain((0,), ends), ends)
 
-    Returns exact tuples of the items, quantities and probabilities and of
-    each occurrence's ``quantity * utility``, after the token checks of
-    :func:`_parse_tokens` pass on them all.  ``ids`` maps every item of
-    ``utilities`` to itself: each item is stored as that one string, so
-    the database holds one string per distinct item, not one per
-    occurrence.  The token and field lists die on return, so no later
-    garbage collection walks them.
+
+def _parse_block(
+    lines: list[bytes], utilities: dict[str, float], ids: dict[bytes, str]
+) -> tuple[tuple, tuple, tuple, list[float], list[int]] | None:
+    """Parse a block of raw lines as whole columns, or return None.
+
+    Returns the block's items, quantities and probabilities as flat
+    columns, then each content line's total utility and the end offset
+    of its occurrences in those columns.  ``ids`` maps each item of
+    ``utilities``, encoded, to the key itself, so the database holds one
+    string per distinct item, not one per occurrence.  Together the
+    columns are equal bit for bit to the rows of :func:`_parse_tokens`:
+    each total is summed left to right as the token loop sums it (``sum``
+    is compensated on Python 3.12+, so it can differ).
+
+    Every step is a C-level call, or a ``map``, over the whole block, so
+    no Python code runs per line or per token.  Returns None, without
+    saying where, for a block that is not ASCII, holds a ``#``, or fails
+    any check; the caller then parses it token by token to locate the
+    error.
     """
-    tokens = joined.split()
-    if list(map(str.count, tokens, repeat(":"))).count(2) != len(tokens):
+    block = b"\n".join(lines)
+    if not block.isascii() or b"#" in block:
         return None
-    fields = joined.replace(":", " ").split()
-    if len(fields) != 3 * len(tokens):  # an empty item, quantity or probability
+    # The shape check: every token must read x:y:z, three non-empty fields.
+    # With all else deleted, the colons must come in runs of exactly two,
+    # one run per token that holds a colon (``pairs``); every token must be
+    # such a token, so a line without a colon is blank; and there must be
+    # three fields per token, so none is empty.  The runs and the fields
+    # alone are not enough: "a::1 1" has one "::" run and three fields.
+    colons = block.translate(_BLANK_SPACES, _FIELD_BYTES)
+    pairs = colons.count(b" :") + colons.startswith(b":")
+    marks = block.translate(_TOKEN_MARKS)
+    tokens = marks.count(b" x") + marks.startswith(b"x")
+    fields = block.translate(_BLANK_SEPARATORS).split()
+    if not (
+        b":::" not in colons
+        and colons.count(b":") == 2 * pairs
+        and pairs == tokens
+        and len(fields) == 3 * tokens
+    ):
         return None
+    if not fields:  # only blank lines
+        return (), (), (), [], []
     try:
         items = tuple(map(ids.__getitem__, fields[0::3]))
         quantities = tuple(map(int, fields[1::3]))
@@ -187,43 +255,27 @@ def _convert_tokens(
         products = tuple(map(mul, quantities, map(utilities.__getitem__, items)))
     except (ValueError, KeyError, OverflowError):
         return None
-    # Written so that a NaN probability fails.
+    # A NaN probability can slip past min and max, but not past its sum.
     if not (
         min(quantities) >= 1
-        and all(map((0.0).__lt__, probabilities))
-        and all(map((1.0).__ge__, probabilities))
+        and min(probabilities) > 0.0
+        and max(probabilities) <= 1.0
+        and not math.isnan(sum(probabilities))
     ):
         return None
-    return items, quantities, probabilities, products
-
-
-def _parse_block(
-    lines: list[str], utilities: dict[str, float], ids: dict[str, str]
-) -> tuple[tuple, tuple, tuple, list[float], list[int]] | None:
-    """Parse a block of content lines as whole columns, or return None.
-
-    Returns the block's items, quantities and probabilities as flat
-    columns, then each line's total utility and the end offset of its
-    occurrences in those columns.  Together they are equal bit for bit to
-    the rows of :func:`_parse_tokens`: each total is summed left to right
-    as the token loop sums it (``sum`` is compensated on Python 3.12+, so
-    it can differ).  Returns None when any check fails, without saying
-    where; the caller then parses the block token by token to locate the
-    error.
-    """
-    columns = _convert_tokens(" ".join(lines), utilities, ids)
-    if columns is None:
-        return None
-    items, quantities, probabilities, products = columns
-    # Every token has two colons, so a line's colons count its tokens twice.
-    ends = [colons // 2 for colons in accumulate(map(str.count, lines, repeat(":")))]
-    spans = list(map(slice, [0, *ends[:-1]], ends))
-    totals = list(map(reduce, repeat(add), map(products.__getitem__, spans), repeat(0.0)))
+    # Every token has two colons, so a content line's colons count its
+    # tokens twice, and a blank line has none.
+    colon_counts = filter(None, map(bytes.count, lines, repeat(b":")))
+    ends = list(map(floordiv, accumulate(colon_counts), repeat(2)))
+    # Each line's slice is made where it is used and dies at once: a list
+    # of them would hold a GC-tracked object per line and set off garbage
+    # collections that walk the whole block.
+    totals = list(map(reduce, repeat(add), map(products.__getitem__, _spans(ends)), repeat(0.0)))
     if not (
         # no line repeats an item
-        sum(map(len, map(set, map(items.__getitem__, spans)))) == len(items)
-        and all(map((0.0).__lt__, totals))
-        and all(map(math.inf.__gt__, totals))
+        sum(map(len, map(set, map(items.__getitem__, _spans(ends))))) == len(items)
+        and min(totals) > 0.0
+        and max(totals) < math.inf
     ):
         return None
     return items, quantities, probabilities, totals, ends
@@ -234,42 +286,49 @@ def parse_database(
 ) -> UncertainDatabase:
     """Parse the two text formats into a validated database.
 
-    Content lines are converted in blocks of :data:`_BLOCK_LINES`, whole
-    columns at a time (:func:`_parse_block`), so the working set stays one
-    block's tokens however large the input.  Each block's columns are
-    appended to the database-wide ones; no per-line object outlives its
-    block.  A block that fails any check is parsed again by
-    :func:`_parse_tokens`, which raises the error with its line and
+    The transactions are parsed as UTF-8 bytes: a ``str`` is encoded
+    once, and bytes that are not ASCII are decoded once, only to check
+    them.  The bytes are split into blocks of :data:`_BLOCK_LINES` raw
+    lines, comment and blank lines included, and each block is converted
+    whole, one column at a time (:func:`_parse_block`), so the working
+    set stays one block's fields however large the input.  Each block's
+    columns are appended to the database-wide ones; no per-line object
+    outlives its block.  A block that is not ASCII, holds a ``#`` or
+    fails any check is decoded and parsed again by :func:`_parse_tokens`,
+    the reference parser, which raises the error with its file line and
     column.  The database records an empty validation verdict, so
     ``mine`` does not validate it again.
     """
     utilities = parse_utilities(utility_text)
-    ids = dict(zip(utilities, utilities))
+    ids = {item.encode(): item for item in utilities}
 
     items: list[str] = []
     quantities: list[int] = []
     probabilities: list[float] = []
     totals: list[float] = []
     ends: list[int] = []
-    numbered = _lines(_decode(transactions_text))
-    while block := list(islice(numbered, _BLOCK_LINES)):
-        columns = _parse_block([line for _, line in block], utilities, ids)
+    raw_lines = _encode(transactions_text).split(b"\n")
+    for first in range(0, len(raw_lines), _BLOCK_LINES):
+        lines = raw_lines[first : first + _BLOCK_LINES]
+        columns = _parse_block(lines, utilities, ids)
         if columns is None:
-            rows = _parse_tokens(block, utilities)
-            line_items, line_quantities, line_probabilities, line_totals = zip(*rows)
-            columns = (
-                chain.from_iterable(line_items),
-                chain.from_iterable(line_quantities),
-                chain.from_iterable(line_probabilities),
-                line_totals,
-                accumulate(map(len, line_items)),
-            )
+            text = b"\n".join(lines).decode("utf-8", "surrogatepass")
+            rows = _parse_tokens(_lines(text, first + 1), utilities)
+            for row_items, row_quantities, row_probabilities, tu in rows:
+                items.extend(row_items)
+                quantities.extend(row_quantities)
+                probabilities.extend(row_probabilities)
+                totals.append(tu)
+                ends.append(len(items))
+            continue
         block_items, block_quantities, block_probabilities, block_totals, block_ends = columns
         ends.extend(map(add, block_ends, repeat(len(items))))
         items.extend(block_items)
         quantities.extend(block_quantities)
         probabilities.extend(block_probabilities)
         totals.extend(block_totals)
+    # Free the lines before the table copies the columns: that is the peak.
+    del raw_lines
     table = TransactionTable(ends, totals, items, quantities, probabilities)
     db = UncertainDatabase(table, utilities)
     # Every line passed the checks validate_database makes.
@@ -304,6 +363,13 @@ def write_database(db: UncertainDatabase) -> tuple[str, str]:
             raise ValueError(f"unit utility {value} of item {item!r} cannot be serialized")
 
     table = db.transactions
+    finite = list(map(math.isfinite, table.probabilities))
+    if not all(finite):
+        k = finite.index(False)
+        raise ValueError(
+            f"probability {table.probabilities[k]} of item {table.items[k]!r} "
+            f"in transaction {bisect_right(table.ends, k) + 1} cannot be serialized"
+        )
     tokens = list(
         map(
             "{}:{}:{}".format,

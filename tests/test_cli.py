@@ -113,6 +113,25 @@ def test_mine_non_finite_total_utility_exits_1(tmp_path, capsys):
     assert "line 2" in err and "not a finite number" in err
 
 
+@pytest.mark.parametrize("bad_file", ["data", "utility"])
+def test_mine_invalid_utf8_exits_1_naming_the_line(tmp_path, capsys, bad_file):
+    files = {
+        "data": (tmp_path / "data.txt", b"a:1:0.5\n# caf\xc3\xa9\na:2:0.5 b:1:\xff\n"),
+        "utility": (tmp_path / "utility.txt", b"a 1\n\nb\xff 1\n"),
+    }
+    good = {"data": b"a:1:0.5\n", "utility": b"a 1\nb 1\n"}
+    for name, (path, content) in files.items():
+        path.write_bytes(content if name == bad_file else good[name])
+    code, out, err = run(
+        ["mine", "--data", str(files["data"][0]), "--utility", str(files["utility"][0]),
+         "--alpha", "0.5", "--beta", "0.1", "--gamma", "0"],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "occumine: line 3: invalid UTF-8 byte 0xff\n"
+
+
 def test_mine_underflowing_probabilities(tmp_path, capsys):
     # Every 3-item product of these probabilities underflows to 0.0.
     data = tmp_path / "data.txt"

@@ -128,10 +128,10 @@ def test_multi_block_file_parses_like_token_parser():
     assert [(t.items, t.quantities, t.probabilities, t.tu) for t in db.transactions] == rows
 
 
-def test_error_on_first_line_of_second_block_names_file_line_and_column():
+def _assert_block_edge_error(bad):
+    """A bad token on raw line ``bad`` (0-based) fails at its file line and
+    column, as the token parser says."""
     lines = _multi_block_lines()
-    content = [n for n, line in enumerate(lines) if line.strip() and line.strip()[0] != "#"]
-    bad = content[dataio._BLOCK_LINES]  # the second block's first line, 0-based
     lines[bad] = "a:1:0.5 c:x:0.5"
     text = "\n".join(lines)
     with pytest.raises(ParseError) as info:
@@ -140,6 +140,15 @@ def test_error_on_first_line_of_second_block_names_file_line_and_column():
     assert (info.value.line, info.value.column) == (bad + 1, 9)
     assert (expected.line, expected.column) == (bad + 1, 9)
     assert str(info.value) == str(expected)
+
+
+def test_error_on_first_line_of_second_block_names_file_line_and_column():
+    # Blocks are raw lines, comment and blank lines included.
+    _assert_block_edge_error(dataio._BLOCK_LINES)
+
+
+def test_error_on_last_line_of_second_block_names_file_line_and_column():
+    _assert_block_edge_error(2 * dataio._BLOCK_LINES - 1)
 
 
 def test_total_utility_is_summed_left_to_right():
@@ -165,10 +174,40 @@ def test_invalid_unknown_item_is_a_parse_error_at_its_column():
     assert "invalid item id 'q-x'" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "data, line, byte",
+    [
+        (b"\xffa:1:0.5\n", 1, "0xff"),
+        (b"a:1:0.5\r\n# caf\xc3\xa9\r\n\r\nc:2:0.\xe9\r\n", 4, "0xe9"),
+        (b"a:1:0.5\n" * 9000 + b"c:1:0.5\xc3\n", 9001, "0xc3"),
+    ],
+)
+def test_invalid_utf8_names_its_line(data, line, byte):
+    for parse in (
+        lambda: parse_database(data, UTILITY_TEXT),
+        lambda: parse_utilities(data.replace(b":1:", b" ").replace(b":2:", b" ")),
+        lambda: augment(data.replace(b":", b"_"), AUGMENT_CONFIG),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse()
+        assert (info.value.line, info.value.column) == (line, None)
+        assert str(info.value) == f"line {line}: invalid UTF-8 byte {byte}"
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_write_refuses_a_non_finite_unit_utility(value):
     db = build_database([[("a", 1, 0.5)]], {"a": 1.0, "b": value})
     with pytest.raises(ValueError, match=f"^unit utility {value} of item 'b' cannot be serialized$"):
+        write_database(db)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_write_refuses_a_non_finite_probability(value):
+    db = build_database([[("a", 1, 0.5)], [("a", 1, 0.5), ("b", 2, value)]], {"a": 1.0, "b": 1.0})
+    with pytest.raises(
+        ValueError,
+        match=f"^probability {value} of item 'b' in transaction 2 cannot be serialized$",
+    ):
         write_database(db)
 
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from occumine import (
     PRESETS,
+    GeneratorConfig,
     MissingUtilityError,
     ParseError,
     Thresholds,
@@ -26,6 +27,7 @@ from occumine import (
     UncertainDatabase,
     UndefinedMeasureError,
     build_database,
+    generate,
     mine,
     oracle_measures,
     oracle_mine,
@@ -379,13 +381,15 @@ def spelled_inputs(draw):
         quantities += ["0", "9" * 400, "x"]
         probabilities += ["nan", "inf", "1e-400", "1.5"]
     items = ["a", "b", "c"] if clean else ["a", "b", "c", "d", "q-x"]
-    space = st.sampled_from([" ", "  ", "\t", "\x0b", "\x1c", "\xa0", "\u2028", " \t"])
+    space = st.sampled_from(
+        [" ", "  ", "\t", "\x0b", "\x1c", "\x1f", "\xa0", "\u2028", " \t"]
+    )
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     lines = []
     for _ in range(draw(st.integers(0, 10))):
         kind = draw(st.sampled_from(["transaction"] * 4 + ["comment", "blank"]))
         if kind == "comment":
-            lines.append(draw(st.sampled_from(["# note", "  #a:1:1", "#"])))
+            lines.append(draw(st.sampled_from(["# note", "  #a:1:1", "#", "# café"])))
         elif kind == "blank":
             lines.append(draw(st.sampled_from(["", " ", "\t", "\xa0", "\u2028"])))
         else:
@@ -433,6 +437,23 @@ def _token_parse(data, utility):
 @settings(max_examples=400, deadline=None)
 @example(texts=("a:1:0.5:b 1:0.5\n", UTILITY), block_lines=dataio._BLOCK_LINES)
 @example(texts=("a:1: 0.5:b:1 ::0.5\n", UTILITY), block_lines=dataio._BLOCK_LINES)
+# Right colon and field counts over the block, wrong shape per token.
+@example(texts=("a:1 0.5:b:1:0.5\n", UTILITY), block_lines=dataio._BLOCK_LINES)
+@example(texts=("a::1 1\n", UTILITY), block_lines=dataio._BLOCK_LINES)
+@example(texts=("b:1:0.5\na::1\n1\n", UTILITY), block_lines=2)
+# 0x1c-0x1f separate tokens for str.split, not for bytes.split.
+@example(texts=("a:1:0.5\x1cb:2:0.25\x1d\n\x1e\x1f\na:1:1\x1fb:1:1\n", UTILITY), block_lines=2)
+@example(texts=("a:1\x1c:0.5\n", UTILITY), block_lines=dataio._BLOCK_LINES)
+# Not ASCII, or a "#", anywhere in an otherwise valid block.
+@example(texts=("a:1:0.5\n# café\nb:1:0.5\n", UTILITY), block_lines=dataio._BLOCK_LINES)
+@example(texts=("a:1:0.5\xa0b:1:0.5\n\u2028a:2:1\n", UTILITY), block_lines=1)
+@example(texts=("a:1:0.5 b#:1:0.5\n", UTILITY), block_lines=dataio._BLOCK_LINES)
+@example(texts=("a:1:0.5#\nb:1:0.5\n", UTILITY), block_lines=dataio._BLOCK_LINES)
+# NaN and inf as a block's first and last probability.
+@example(texts=("a:1:nan b:1:0.5\nb:1:1\n", UTILITY), block_lines=dataio._BLOCK_LINES)
+@example(texts=("a:1:0.5\nb:1:0.5 a:1:nan\n", UTILITY), block_lines=dataio._BLOCK_LINES)
+@example(texts=("a:1:inf b:1:0.5\nb:1:1\n", UTILITY), block_lines=dataio._BLOCK_LINES)
+@example(texts=("a:1:0.5\nb:1:0.5 a:1:inf\n", UTILITY), block_lines=dataio._BLOCK_LINES)
 @given(
     texts=st.one_of(fuzzed_inputs(), parser_inputs(), spelled_inputs()),
     block_lines=st.sampled_from([1, 2, 3, dataio._BLOCK_LINES]),
@@ -451,3 +472,26 @@ def test_block_parser_equals_token_parser(texts, block_lines):
         assert [t.tu.hex() for t in got.transactions] == [
             t.tu.hex() for t in expected.transactions
         ]
+
+
+def test_generated_database_parses_to_the_utility_keys_and_exact_floats():
+    # Over several blocks, each parsed whole as bytes.
+    config = GeneratorConfig(
+        seed=3,
+        num_transactions=3 * dataio._BLOCK_LINES,
+        num_items=60,
+        avg_transaction_length=5.0,
+        prob_min=1e-6,
+    )
+    data, utility = write_database(generate(config))
+    got = parse_database(data.encode(), utility.encode())
+    expected = _token_parse(data, utility)
+    assert got == expected
+    keys = {item: item for item in got.unit_utilities}
+    assert all(item is keys[item] for item in got.transactions.items)
+    assert list(map(float.hex, got.transactions.probabilities)) == list(
+        map(float.hex, expected.transactions.probabilities)
+    )
+    assert list(map(float.hex, got.transactions.tu)) == list(
+        map(float.hex, expected.transactions.tu)
+    )
