@@ -31,6 +31,10 @@ CSV_COLUMNS = [
     "visited_nodes",
     "constructed_lists",
     "patterns",
+    "pruned_support",
+    "pruned_probability",
+    "pruned_bound",
+    "joins_aborted",
 ]
 
 
@@ -163,6 +167,10 @@ def run_plan(plan: BenchPlan) -> list[dict[str, object]]:
                             "visited_nodes": outcome.stats.visited_nodes,
                             "constructed_lists": outcome.stats.constructed_lists,
                             "patterns": outcome.stats.patterns_found,
+                            "pruned_support": outcome.stats.pruned_support,
+                            "pruned_probability": outcome.stats.pruned_probability,
+                            "pruned_bound": outcome.stats.pruned_bound,
+                            "joins_aborted": outcome.stats.joins_aborted,
                         }
                     )
     return rows

@@ -1,19 +1,24 @@
 """Vertical per-pattern lists and the join that extends them.
 
-Each pattern owns a columnar list: parallel columns ``tids``, ``pro``,
-``uo`` and ``ruo`` hold, per supporting transaction, the tid, the
-pattern's existence probability, its utility share and the remaining
-utility share there; ``bits`` is the set of tids as an int bitset.  Lists
-for single items are filled from columns read in one database pass.
-Every longer pattern's list is derived by joining its prefix's list with
-the single-item list of the item that extends it, so k-itemsets never
-touch the database again.
+Each pattern owns a columnar list: parallel columns ``tids``, ``pro`` and
+``uo`` hold, per supporting transaction, the tid, the pattern's existence
+probability and its utility share there; ``bits`` is the set of tids as
+an int bitset.  Lists for single items are filled from columns read in one
+database pass, and each also holds a ``ruo`` column: the remaining utility
+share of its item per transaction.  Every longer pattern's list is derived
+by joining its prefix's list with the single-item list of the item that
+extends it, so k-itemsets never touch the database again.
+
+A pattern's remaining utility share in a transaction is its last item's,
+so a joined list copies no ruo column: it keeps ``rows``, its rows in the
+single-item list of its last item, and reads ruo through them.  Only the
+occupancy bound reads ruo, so a run that never bounds never gathers it,
+and a summary's mean ``remaining`` is summed only when it is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import add, mul
 from typing import Iterable
@@ -22,47 +27,60 @@ from .measures import TotalOrder
 from .model import UncertainDatabase
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PatternList:
     """A pattern's vertical list: parallel columns sorted by ascending tid.
 
-    The columns are shared between lists and must not be mutated.
+    ``item_ruo`` is the ruo column of the single-item list of
+    ``items[-1]``: a single-item list's own, with ``rows`` of ``None``.
+    A joined list's ``rows`` holds, per tid, its row in that single-item
+    list, and ``ruo`` reads through them.  The columns are shared between
+    lists and must not be mutated.
     """
 
     items: tuple[str, ...]
     tids: list[int]
     pro: list[float]
     uo: list[float]
-    ruo: list[float]
     bits: int
+    item_ruo: list[float]
+    rows: list[int] | None = None
+    _row_of: dict[int, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def support(self) -> int:
         return len(self.tids)
 
-    @cached_property
+    @property
+    def ruo(self) -> list[float]:
+        """The remaining utility share per tid, gathered on each read for a
+        joined list."""
+        if self.rows is None:
+            return self.item_ruo
+        return list(map(self.item_ruo.__getitem__, self.rows))
+
+    @property
     def row_of(self) -> dict[int, int]:
         """tid -> row index, built the first time it is asked for."""
-        return dict(zip(self.tids, range(len(self.tids))))
+        if self._row_of is None:
+            self._row_of = dict(zip(self.tids, range(len(self.tids))))
+        return self._row_of
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PatternSummary:
     """Aggregates over one pattern's list: support, total probability,
-    mean utility occupancy, mean remaining utility occupancy."""
+    mean utility occupancy, and, summed when read, mean remaining utility
+    occupancy (all zero for an empty list)."""
 
     support: int
     probability: float
     occupancy: float
-    remaining: float
+    plist: PatternList = field(repr=False)
 
-
-def summarize(plist: PatternList) -> PatternSummary:
-    """Fold a list into its summary (empty lists yield all-zero fields)."""
-    n = len(plist.tids)
-    if n == 0:
-        return PatternSummary(0, 0.0, 0.0, 0.0)
-    return PatternSummary(n, sum(plist.pro), sum(plist.uo) / n, sum(plist.ruo) / n)
+    @property
+    def remaining(self) -> float:
+        return sum(self.plist.ruo) / self.support if self.support else 0.0
 
 
 def _bitset(tids: list[int]) -> int:
@@ -123,8 +141,9 @@ def build_single_item_lists(
         tids, pro, uo = columns[item]
         ruo = list(map(tail.get, tids, repeat(0.0)))
         tail.update(zip(tids, map(add, ruo, uo)))
-        plist = PatternList((item,), tids, pro, uo, ruo, _bitset(tids))
-        result[item] = (plist, summarize(plist))
+        plist = PatternList((item,), tids, pro, uo, _bitset(tids), ruo)
+        n = len(tids)
+        result[item] = (plist, PatternSummary(n, sum(pro, 0.0), sum(uo) / n if n else 0.0, plist))
     return dict(reversed(result.items()))
 
 
@@ -145,25 +164,22 @@ def construct(
         uo  = uo_a + uo_b
         ruo = ruo_b
 
-    with the b values read from ``b``'s row for that tid.  The joint
+    with the b values read from ``b``'s row for that tid; ruo is not
+    copied but read through ``rows``, those rows of ``b``.  The joint
     support is the popcount of ``xa.bits & b.bits``; with ``join_abort``
     enabled, a joint support below ``min_sup_count`` returns ``None``
     before any row is built.  Otherwise the full (possibly empty) result
-    is returned.
+    is returned, with its summary.
     """
     bits = xa.bits & b.bits
     if join_abort and bits.bit_count() < min_sup_count:
         return None
-    # b's row for each of xa's tids; None where b is absent.
-    rows = list(map(b.row_of.get, xa.tids))
-    hit = [row is not None for row in rows]
-    rows = list(compress(rows, hit))
-    plist = PatternList(
-        xa.items + b.items,
-        list(compress(xa.tids, hit)),
-        list(map(mul, compress(xa.pro, hit), map(b.pro.__getitem__, rows))),
-        list(map(add, compress(xa.uo, hit), map(b.uo.__getitem__, rows))),
-        list(map(b.ruo.__getitem__, rows)),
-        bits,
-    )
-    return plist, summarize(plist)
+    row_of = b.row_of
+    hit = list(map(row_of.__contains__, xa.tids))
+    tids = list(compress(xa.tids, hit))
+    rows = list(map(row_of.__getitem__, tids))
+    pro = list(map(mul, compress(xa.pro, hit), map(b.pro.__getitem__, rows)))
+    uo = list(map(add, compress(xa.uo, hit), map(b.uo.__getitem__, rows)))
+    plist = PatternList(xa.items + b.items, tids, pro, uo, bits, b.item_ruo, rows)
+    n = len(tids)
+    return plist, PatternSummary(n, sum(pro, 0.0), sum(uo) / n if n else 0.0, plist)

@@ -19,7 +19,13 @@ re-checks the probability and occupancy thresholds.
 * join abort: skip a list join whose joint support, counted on the tid
   bitsets before any row is built, is below the minimum.
 
-The search is one recursive function inside :func:`mine`.  It calls
+The search is one loop inside :func:`mine` over an explicit stack of
+sibling frames, so no recursion limit caps its depth.  It counts in
+:class:`MiningStats` what it drops, by reason: a child below the support
+or the probability minimum, a node cut by the occupancy bound, and an
+aborted join.  Only the bound gate reads a
+node's remaining utility, so under a preset without the bound no ruo is
+gathered and no mean remaining is summed.  The search calls
 ``construct``, ``upper_bound`` and the set-up functions through this
 module's globals, so a wrapper set on one of those names sees every call.
 """
@@ -147,55 +153,69 @@ def mine(
     single_lists = {item: plist for item, (plist, _) in singles.items()}
     found: list[PatternRecord] = []
 
-    def search(extensions: list[tuple[PatternList, PatternSummary]]) -> None:
-        for index, (xa_list, xa_sum) in enumerate(extensions):
-            stats.visited_nodes += 1
-            if on_node is not None:
-                on_node(xa_list, xa_sum)
+    # Depth first from an explicit stack, so the depth is not capped by the
+    # interpreter's recursion limit.  A frame is [siblings, next index];
+    # a node's surviving children are pushed as a frame of their own and
+    # searched before its next sibling.
+    stack: list[list] = [[[singles[item] for item in order.items], 0]]
+    while stack:
+        frame = stack[-1]
+        extensions, index = frame
+        if index == len(extensions):
+            stack.pop()
+            continue
+        frame[1] = index + 1
+        xa_list, xa_sum = extensions[index]
+        stats.visited_nodes += 1
+        if on_node is not None:
+            on_node(xa_list, xa_sum)
 
-            # Roots and children were filtered on this summary's support
-            # (and, under probability pruning, probability); emission
-            # re-checks.
-            if xa_sum.probability >= min_pro and xa_sum.occupancy >= beta:
-                found.append(
-                    PatternRecord(
-                        items=xa_list.items,
-                        support=xa_sum.support,
-                        probability=xa_sum.probability,
-                        utility_occupancy=xa_sum.occupancy,
-                    )
+        # Roots and children were filtered on this summary's support (and,
+        # under probability pruning, probability); emission re-checks.
+        if xa_sum.probability >= min_pro and xa_sum.occupancy >= beta:
+            found.append(
+                PatternRecord(
+                    items=xa_list.items,
+                    support=xa_sum.support,
+                    probability=xa_sum.probability,
+                    utility_occupancy=xa_sum.occupancy,
                 )
+            )
 
-            # The bound is at least occupancy + remaining (see upper_bound),
-            # so only a node whose mean is below beta can be pruned by it.
-            if strategies.bound_prune and xa_sum.occupancy + xa_sum.remaining < beta:
-                if upper_bound(xa_list, min_sup) < beta:
-                    continue
+        # The bound is at least occupancy + remaining (see upper_bound), so
+        # only a node whose mean is below beta can be pruned by it.
+        if strategies.bound_prune and xa_sum.occupancy + xa_sum.remaining < beta:
+            if upper_bound(xa_list, min_sup) < beta:
+                stats.pruned_bound += 1
+                continue
 
-            children: list[tuple[PatternList, PatternSummary]] = []
-            for xb_list, _ in extensions[index + 1 :]:
-                stats.candidate_joins += 1
-                joined = construct(
-                    xa_list,
-                    single_lists[xb_list.items[-1]],
-                    min_sup,
-                    join_abort=strategies.join_abort,
-                )
-                if joined is None:
-                    continue
-                child_list, child_sum = joined
-                if not child_list.tids:
-                    continue
-                stats.constructed_lists += 1
-                if child_sum.support < min_sup:
-                    continue
-                if strategies.probability_prune and child_sum.probability < min_pro:
-                    continue
-                children.append(joined)
-            if children:
-                search(children)
+        children: list[tuple[PatternList, PatternSummary]] = []
+        for xb_list, _ in extensions[index + 1 :]:
+            stats.candidate_joins += 1
+            joined = construct(
+                xa_list,
+                single_lists[xb_list.items[-1]],
+                min_sup,
+                join_abort=strategies.join_abort,
+            )
+            if joined is None:
+                stats.joins_aborted += 1
+                continue
+            child_list, child_sum = joined
+            if not child_list.tids:
+                stats.pruned_support += 1
+                continue
+            stats.constructed_lists += 1
+            if child_sum.support < min_sup:
+                stats.pruned_support += 1
+                continue
+            if strategies.probability_prune and child_sum.probability < min_pro:
+                stats.pruned_probability += 1
+                continue
+            children.append(joined)
+        if children:
+            stack.append([children, 0])
 
-    search([singles[item] for item in order.items])
     patterns = tuple(sorted(found, key=PatternRecord.sort_key))
     stats.patterns_found = len(patterns)
     stats.elapsed_seconds = time.perf_counter() - started

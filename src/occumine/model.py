@@ -343,13 +343,25 @@ class PatternRecord:
 
 @dataclass
 class MiningStats:
-    """Instrumentation counters for one mining run."""
+    """Instrumentation counters for one mining run.
+
+    The prune counts are taken in the search: ``pruned_support`` and
+    ``pruned_probability`` count joined children dropped below the support
+    (an empty join included) or the probability minimum,
+    ``pruned_bound`` counts nodes whose subtree the occupancy bound cut,
+    and ``joins_aborted`` counts joins the tid bitsets stopped before any
+    row was built.
+    """
 
     visited_nodes: int = 0
     constructed_lists: int = 0
     candidate_joins: int = 0
     patterns_found: int = 0
     elapsed_seconds: float = 0.0
+    pruned_support: int = 0
+    pruned_probability: int = 0
+    pruned_bound: int = 0
+    joins_aborted: int = 0
 
     def as_dict(self) -> dict[str, float]:
         return {
@@ -358,6 +370,10 @@ class MiningStats:
             "candidate_joins": self.candidate_joins,
             "patterns_found": self.patterns_found,
             "elapsed_ms": self.elapsed_seconds * 1000.0,
+            "pruned_support": self.pruned_support,
+            "pruned_probability": self.pruned_probability,
+            "pruned_bound": self.pruned_bound,
+            "joins_aborted": self.joins_aborted,
         }
 
 

@@ -67,6 +67,7 @@ def test_mine_writes_output_and_stats_files(tmp_path, capsys):
     assert stats["patterns_found"] == "1"
     assert int(stats["visited_nodes"]) >= 1
     assert "elapsed_ms" in stats
+    assert list(stats)[-4:] == ["pruned_support", "pruned_probability", "pruned_bound", "joins_aborted"]
 
 
 def test_mine_repeated_runs_are_byte_identical(tmp_path, capsys):
@@ -226,6 +227,9 @@ def test_bench_inline(capsys):
     assert code == 0
     rows = list(csv.DictReader(out.splitlines()))
     assert len(rows) == 12
+    assert list(rows[0])[-5:] == [
+        "patterns", "pruned_support", "pruned_probability", "pruned_bound", "joins_aborted"
+    ]
     # pattern counts are identical across presets at each sweep point
     by_alpha = {}
     for row in rows:

@@ -11,7 +11,7 @@ from occumine import (
     total_order,
     utility_occupancy,
 )
-from occumine.lists import build_single_item_lists, construct, item_columns, summarize
+from occumine.lists import build_single_item_lists, construct, item_columns
 
 
 @pytest.fixture(scope="module")
@@ -44,11 +44,11 @@ def test_last_item_has_zero_remaining(example_singles):
 
 def test_summaries_match_recomputation(example_singles):
     for plist, summary in example_singles.values():
-        again = summarize(plist)
-        assert again.support == summary.support == len(plist.tids)
-        assert again.probability == pytest.approx(summary.probability, abs=1e-9)
-        assert again.occupancy == pytest.approx(summary.occupancy, abs=1e-9)
-        assert again.remaining == pytest.approx(summary.remaining, abs=1e-9)
+        n = len(plist.tids)
+        assert summary.support == n
+        assert sum(plist.pro) == pytest.approx(summary.probability, abs=1e-9)
+        assert sum(plist.uo) / n == pytest.approx(summary.occupancy, abs=1e-9)
+        assert sum(plist.ruo) / n == pytest.approx(summary.remaining, abs=1e-9)
 
 
 def test_construct_first_level(example_singles):
@@ -101,20 +101,21 @@ def test_joined_remaining_comes_from_later_operand(example_singles):
 
 
 def _chain_lists(db):
-    """Join every reachable pattern's list, mirroring the search order."""
+    """Join every reachable pattern's list, mirroring the search order, and
+    yield each with its summary."""
     order = total_order(db)
     singles = build_single_item_lists(item_columns(db, order.items), order)
-    level = [singles[item][0] for item in order.items]
+    level = [singles[item] for item in order.items]
     while level:
         next_level = []
-        for index, xa in enumerate(level):
-            yield xa
-            for xb in level[index + 1 :]:
+        for index, (xa, xa_summary) in enumerate(level):
+            yield xa, xa_summary
+            for xb, _ in level[index + 1 :]:
                 if xb.items[:-1] != xa.items[:-1]:
                     continue
                 joined = construct(xa, singles[xb.items[-1]][0], 1)
                 if joined and joined[0].tids:
-                    next_level.append(joined[0])
+                    next_level.append(joined)
         level = next_level
 
 
@@ -133,9 +134,8 @@ def test_join_fidelity_against_direct_measures(seed):
         )
     )
     order = total_order(db)
-    for plist in _chain_lists(db):
+    for plist, summary in _chain_lists(db):
         items = plist.items
-        summary = summarize(plist)
         assert summary.support == support_count(items, db)
         assert plist.bits == sum(1 << tid for tid in plist.tids)
         assert summary.probability == pytest.approx(probability(items, db), abs=1e-9)

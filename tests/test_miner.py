@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+from collections import Counter
 
 import pytest
 
@@ -21,8 +23,8 @@ from occumine import (
     validate_database,
     write_database,
 )
-from occumine.lists import build_single_item_lists, item_columns
-from occumine.model import Transaction
+from occumine.lists import build_single_item_lists, construct, item_columns
+from occumine.model import TOL, Transaction
 
 
 def _records_by_pattern(records):
@@ -47,7 +49,7 @@ def test_upper_bound_short_list(example_db):
 def test_upper_bound_empty_list(example_db):
     from occumine.lists import PatternList
 
-    empty = PatternList(items=("x",), tids=[], pro=[], uo=[], ruo=[], bits=0)
+    empty = PatternList(items=("x",), tids=[], pro=[], uo=[], bits=0, item_ruo=[])
     assert upper_bound(empty, 3) == 0.0
 
 
@@ -119,6 +121,76 @@ def test_on_node_hook_changes_no_counter_and_no_bound_call(bench_db, monkeypatch
     assert len(visited) == plain.stats.visited_nodes
     if strategies.bound_prune:
         assert plain_calls  # the bound is exercised, so "no extra call" means something
+
+
+PRUNE_COUNTERS = ("pruned_support", "pruned_probability", "pruned_bound", "joins_aborted")
+
+
+@pytest.mark.parametrize("strategies", list(PRESETS.values()), ids=list(PRESETS))
+def test_prune_counters_count_what_the_search_drops(bench_db, monkeypatch, strategies):
+    # Counted again from the outside, at the wrapped join and bound, the
+    # way a tracer that sees only their arguments and results counts them.
+    import occumine.miner as miner_module
+
+    thresholds = Thresholds(0.03, 0.15, 0.005)
+    min_sup = thresholds.min_support(len(bench_db))
+    min_pro = thresholds.min_probability(len(bench_db)) - TOL
+    seen = Counter()
+
+    def counting_construct(*args, **kwargs):
+        joined = construct(*args, **kwargs)
+        if joined is None:
+            seen["joins_aborted"] += 1
+        elif joined[1].support < min_sup:
+            seen["pruned_support"] += 1
+        elif strategies.probability_prune and joined[1].probability < min_pro:
+            seen["pruned_probability"] += 1
+        return joined
+
+    def counting_bound(plist, min_sup_count):
+        bound = upper_bound(plist, min_sup_count)
+        seen["pruned_bound"] += bound < thresholds.beta - TOL
+        return bound
+
+    monkeypatch.setattr(miner_module, "construct", counting_construct)
+    monkeypatch.setattr(miner_module, "upper_bound", counting_bound)
+    stats = mine(bench_db, thresholds, strategies).stats
+    assert {name: getattr(stats, name) for name in PRUNE_COUNTERS} == {
+        name: seen[name] for name in PRUNE_COUNTERS
+    }
+    assert list(stats.as_dict())[-4:] == list(PRUNE_COUNTERS)
+    # Each reason the preset allows is exercised, so the equality means
+    # something; a join abort leaves no join below the support minimum.
+    assert bool(stats.pruned_support) != strategies.join_abort
+    assert bool(stats.pruned_probability) == strategies.probability_prune
+    assert bool(stats.pruned_bound) == strategies.bound_prune
+    assert bool(stats.joins_aborted) == strategies.join_abort
+
+
+def test_search_depth_is_not_capped_by_the_recursion_limit():
+    # One transaction of more items than the recursion limit allows frames:
+    # only the whole transaction reaches beta, so the search walks the
+    # chain of its prefixes down to the last item.
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = depth + 100
+    items = [f"i{k:03d}" for k in range(limit + 1)]
+    db = build_database([[(item, 1, 1.0) for item in items]], {item: 1.0 for item in items})
+    beta = 1.0 - 0.5 / len(items)
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        outcome = mine(db, Thresholds(1.0, beta, 0.0))
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert len(outcome.patterns) == 1
+    record = outcome.patterns[0]
+    assert sorted(record.items) == items
+    assert record.support == 1
+    assert record.probability == 1.0
+    assert record.utility_occupancy >= beta - TOL
 
 
 def test_support_pruned_node_has_no_descendants():

@@ -1,7 +1,8 @@
 """Generated-input properties: miner equals oracle, the oracle's enumeration
 agrees with the per-pattern measures, the occupancy bound is at least a
 list's mean, single-item lists under an order over some of the items
-hold the direct measures, a database's transaction table gives back the
+hold the direct measures, every visited node's ruo and mean remaining
+equal the direct measures, a database's transaction table gives back the
 transactions it was built from, the parser only accepts valid databases
 and agrees with its per-token reference, and the CLI never raises."""
 
@@ -142,6 +143,34 @@ def test_bound_is_at_least_the_list_mean(db, k):
                 later = order.items[order.rank[plist.items[-1]] + 1 :]
                 deeper += [construct(plist, singles[item][0], k) for item in later]
         level = deeper
+
+
+@settings(max_examples=150, deadline=None)
+@given(db=databases(), th=thresholds)
+def test_values_read_on_demand_at_every_node(db, th):
+    # ruo is read through a joined list's rows and remaining is summed only
+    # when read; under s1 and s13 the search itself reads neither.
+    min_sup = th.min_support(len(db))
+    for strategies in PRESETS.values():
+        nodes = []
+
+        def hook(plist, summary):
+            nodes.append(
+                (plist.items, plist.tids, plist.ruo, summary, upper_bound(plist, min_sup))
+            )
+
+        mine(db, th, strategies, on_node=hook)
+        promising = [items[0] for items, *_ in nodes if len(items) == 1]
+        if not promising:
+            continue
+        order = total_order(db, promising)
+        for items, tids, ruo, summary, bound in nodes:
+            expected = [remaining_utility_occupancy(items, tid, db, order) for tid in tids]
+            assert len(ruo) == len(tids)
+            assert all(abs(got - want) <= TOL for got, want in zip(ruo, expected))
+            assert summary.remaining == sum(ruo) / len(ruo)
+            assert abs(summary.remaining - sum(expected) / len(expected)) <= TOL
+            assert bound >= summary.occupancy + summary.remaining - TOL
 
 
 @settings(max_examples=150, deadline=None)
