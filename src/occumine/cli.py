@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from functools import reduce
 from operator import add
@@ -20,36 +19,6 @@ from .errors import EnumerationBudgetError, OccumineError, PlanError
 from .measures import DEFAULT_ENUMERATION_BUDGET, oracle_mine
 from .miner import PRESETS, mine
 from .model import MiningStats, PatternRecord, Thresholds
-
-
-def _fraction(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"{value} is not in (0, 1]")
-    return value
-
-
-def _fraction_or_zero(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"{value} is not in [0, 1]")
-    return value
-
-
-def _mean_length(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not (math.isfinite(value) and value >= 1.0):
-        raise argparse.ArgumentTypeError(f"{value} is not a finite number >= 1")
-    return value
 
 
 def _positive_int(text: str) -> int:
@@ -116,28 +85,46 @@ def _add_data_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=_fraction, required=True,
+    parser.add_argument("--alpha", type=float, required=True,
                         help="minimum support fraction, in (0, 1]")
-    parser.add_argument("--beta", type=_fraction, required=True,
+    parser.add_argument("--beta", type=float, required=True,
                         help="minimum average utility occupancy, in (0, 1]")
-    parser.add_argument("--gamma", type=_fraction_or_zero, required=True,
+    parser.add_argument("--gamma", type=float, required=True,
                         help="minimum probability fraction, in [0, 1]")
+    parser.set_defaults(build_model=_thresholds, subparser=parser)
 
 
 def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--max-quantity", type=_positive_int, default=5)
-    parser.add_argument("--max-utility", type=_positive_int, default=20)
-    parser.add_argument("--prob-min", type=_fraction, default=0.1)
-    parser.add_argument("--prob-max", type=_fraction, default=1.0)
+    parser.add_argument("--max-quantity", type=int, default=5)
+    parser.add_argument("--max-utility", type=int, default=20)
+    parser.add_argument("--prob-min", type=float, default=0.1)
+    parser.add_argument("--prob-max", type=float, default=1.0)
     parser.add_argument("--data", required=True, help="output transactions file")
     parser.add_argument("--utility", required=True, help="output unit-utility file")
+    parser.set_defaults(build_model=_generator_config, subparser=parser)
+
+
+def _thresholds(args: argparse.Namespace) -> Thresholds:
+    return Thresholds(args.alpha, args.beta, args.gamma)
+
+
+def _generator_config(args: argparse.Namespace) -> GeneratorConfig:
+    return GeneratorConfig(
+        seed=args.seed,
+        num_transactions=args.transactions,
+        num_items=args.items,
+        avg_transaction_length=args.avg_length,
+        max_quantity=args.max_quantity,
+        max_unit_utility=args.max_utility,
+        prob_min=args.prob_min,
+        prob_max=args.prob_max,
+    )
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
     db = load_database(args.data, args.utility)
-    thresholds = Thresholds(args.alpha, args.beta, args.gamma)
-    outcome = mine(db, thresholds, PRESETS[args.strategies])
+    outcome = mine(db, args.model, PRESETS[args.strategies])
     _emit(render_patterns(outcome.patterns, args.format), args.output)
     if args.stats:
         _emit(render_mining_stats(outcome.stats), args.stats)
@@ -146,8 +133,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     db = load_database(args.data, args.utility)
-    thresholds = Thresholds(args.alpha, args.beta, args.gamma)
-    records = oracle_mine(db, thresholds, args.max_len, budget=args.budget)
+    records = oracle_mine(db, args.model, args.max_len, budget=args.budget)
     _emit(render_patterns(tuple(records), args.format), args.output)
     return 0
 
@@ -189,34 +175,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    config = GeneratorConfig(
-        seed=args.seed,
-        num_transactions=args.transactions,
-        num_items=args.items,
-        avg_transaction_length=args.avg_length,
-        max_quantity=args.max_quantity,
-        max_unit_utility=args.max_utility,
-        prob_min=args.prob_min,
-        prob_max=args.prob_max,
-    )
-    db = generate(config)
-    save_database(db, args.data, args.utility)
+    save_database(generate(args.model), args.data, args.utility)
     return 0
 
 
 def _cmd_augment(args: argparse.Namespace) -> int:
-    config = GeneratorConfig(
-        seed=args.seed,
-        num_transactions=0,
-        num_items=1,
-        avg_transaction_length=1.0,
-        max_quantity=args.max_quantity,
-        max_unit_utility=args.max_utility,
-        prob_min=args.prob_min,
-        prob_max=args.prob_max,
-    )
-    db = augment(Path(args.input).read_bytes(), config)
-    save_database(db, args.data, args.utility)
+    save_database(augment(Path(args.input).read_bytes(), args.model), args.data, args.utility)
     return 0
 
 
@@ -268,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="generate a synthetic database")
     p_gen.add_argument("--transactions", type=_positive_int, required=True)
-    p_gen.add_argument("--items", type=_positive_int, required=True)
-    p_gen.add_argument("--avg-length", type=_mean_length, required=True,
+    p_gen.add_argument("--items", type=int, required=True)
+    p_gen.add_argument("--avg-length", type=float, required=True,
                        help="mean transaction length, a finite number >= 1")
     _add_generator_flags(p_gen)
     p_gen.set_defaults(func=_cmd_generate)
@@ -278,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
                                            "to plain transactions")
     p_aug.add_argument("--input", required=True, help="plain transactions, items per line")
     _add_generator_flags(p_aug)
-    p_aug.set_defaults(func=_cmd_augment)
+    # augment draws no transaction, so the generator's shape is moot.
+    p_aug.set_defaults(func=_cmd_augment, transactions=0, items=1, avg_length=1.0)
 
     return parser
 
@@ -286,8 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("generate", "augment") and args.prob_min > args.prob_max:
-        parser.error(f"--prob-min {args.prob_min} is above --prob-max {args.prob_max}")
+    # A command's model type checks its flags before any file is read, and
+    # a refusal is a usage error, as a flag argparse cannot convert is.
+    if "build_model" in args:
+        try:
+            args.model = args.build_model(args)
+        except ValueError as exc:
+            args.subparser.error(str(exc))
     try:
         return args.func(args)
     except EnumerationBudgetError as exc:

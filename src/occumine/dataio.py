@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
@@ -413,17 +414,23 @@ class GeneratorConfig:
 
     def __post_init__(self) -> None:
         if self.num_transactions < 0:
-            raise ValueError("num_transactions must be >= 0")
+            raise ValueError(f"num_transactions must be >= 0, got {self.num_transactions}")
         if self.num_items < 1:
-            raise ValueError("num_items must be >= 1")
-        if not (math.isfinite(self.avg_transaction_length) and self.avg_transaction_length >= 1):
-            raise ValueError("avg_transaction_length must be a finite number >= 1")
+            raise ValueError(f"num_items must be >= 1, got {self.num_items}")
+        length = self.avg_transaction_length
+        if not (math.isfinite(length) and length >= 1):
+            raise ValueError(f"avg_transaction_length must be a finite number >= 1, got {length}")
         if self.max_quantity < 1:
-            raise ValueError("max_quantity must be >= 1")
-        if self.max_unit_utility < 1:
-            raise ValueError("max_unit_utility must be >= 1")
-        if not 0.0 < self.prob_min <= self.prob_max <= 1.0:
-            raise ValueError("probabilities must satisfy 0 < prob_min <= prob_max <= 1")
+            raise ValueError(f"max_quantity must be >= 1, got {self.max_quantity}")
+        top = sys.float_info.max  # an int compares with a float exactly
+        if not 1 <= self.max_unit_utility <= top:
+            raise ValueError(f"max_unit_utility must be in [1, {top}], got {self.max_unit_utility}")
+        if not 0.0 < self.prob_min <= 1.0:
+            raise ValueError(f"prob_min must be in (0, 1], got {self.prob_min}")
+        if not 0.0 < self.prob_max <= 1.0:
+            raise ValueError(f"prob_max must be in (0, 1], got {self.prob_max}")
+        if self.prob_min > self.prob_max:
+            raise ValueError(f"prob_min {self.prob_min} is above prob_max {self.prob_max}")
 
 
 def _draw_probability(rng: random.Random, config: GeneratorConfig) -> float:

@@ -38,14 +38,18 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
+from functools import reduce
 from itertools import chain, repeat
-from operator import le, sub
+from operator import add, le, mul, sub
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-#: Slack for every floating-point comparison against a threshold:
-#: ``x >= t`` is implemented as ``x >= t - TOL`` because repeated list
-#: joins accumulate rounding error.
+#: The one floating-point tolerance.  A measure clears a threshold ``t``
+#: when ``x >= t - TOL``, because repeated list joins accumulate rounding
+#: error; :func:`min_support_count` gives the same slack to the support
+#: fraction.  A stored transaction utility must agree with its left-to-right
+#: total (:func:`transaction_utility`) within ``TOL``, relative:
+#: ``abs(total - tu) <= TOL * max(1.0, abs(total))``.
 TOL = 1e-9
 
 
@@ -247,6 +251,17 @@ class UncertainDatabase:
         return self.transactions[tid - 1]
 
 
+def transaction_utility(
+    items: Iterable[str], quantities: Iterable[int], unit_utilities: Mapping[str, float]
+) -> float:
+    """Sum of quantity x unit utility, added left to right as the parser
+    adds it; ``inf`` when a quantity is too large for a float."""
+    try:
+        return reduce(add, map(mul, quantities, map(unit_utilities.__getitem__, items)), 0.0)
+    except OverflowError:
+        return math.inf
+
+
 def build_database(
     rows: Sequence[Sequence[tuple[str, int, float]]],
     unit_utilities: Mapping[str, float],
@@ -256,8 +271,7 @@ def build_database(
     Serves the generator, ``augment`` and hand-built databases; the
     parser builds its table straight from its own columns.  Row k becomes
     tid k: it is transposed into the transaction's columns, and its total
-    utility is summed from ``unit_utilities`` in the same left-to-right
-    order the parser and :func:`validate_database` use.  Raises
+    utility is :func:`transaction_utility`.  Raises
     ``KeyError`` when an item has no utility entry, and ``ValueError``
     naming the row whose total utility is not a finite number, which no
     database file can hold.  Structural invariants beyond these are the
@@ -266,12 +280,7 @@ def build_database(
     transactions = []
     for tid, row in enumerate(rows, start=1):
         items, quantities, probabilities = zip(*row) if row else ((), (), ())
-        tu = 0.0
-        try:
-            for item, quantity in zip(items, quantities):
-                tu += quantity * unit_utilities[item]
-        except OverflowError:  # a quantity too large for a float
-            tu = math.inf
+        tu = transaction_utility(items, quantities, unit_utilities)
         if not math.isfinite(tu):
             raise ValueError(f"row {tid}: total utility is not a finite number")
         transactions.append(Transaction(items, quantities, probabilities, tu))
@@ -414,12 +423,9 @@ def validate_database(db: UncertainDatabase) -> list[Violation]:
     utilities = db.unit_utilities
     table = db.transactions
     for tid, (span, tu) in enumerate(zip(table.spans(), table.tu), 1):
-        items = table.items[span]
+        items, quantities = table.items[span], table.quantities[span]
         seen: set[str] = set()
-        recomputed = 0.0
-        for item, quantity, probability in zip(
-            items, table.quantities[span], table.probabilities[span]
-        ):
+        for item, quantity, probability in zip(items, quantities, table.probabilities[span]):
             if item in seen:
                 violations.append(Violation("duplicate item in transaction", tid=tid, item=item))
             seen.add(item)
@@ -431,12 +437,11 @@ def validate_database(db: UncertainDatabase) -> list[Violation]:
                 )
             if item not in utilities:
                 violations.append(Violation("missing utility entry", tid=tid, item=item))
-            else:
-                recomputed += quantity * utilities[item]
         if all(item in utilities for item in items):
+            recomputed = transaction_utility(items, quantities, utilities)
             if not (math.isfinite(recomputed) and math.isfinite(tu)):
                 violations.append(Violation("transaction utility is not a finite number", tid=tid))
-            elif abs(recomputed - tu) > TOL:
+            elif abs(recomputed - tu) > TOL * max(1.0, abs(recomputed)):
                 violations.append(
                     Violation(f"stored tu {tu} does not match recomputed {recomputed}", tid=tid)
                 )

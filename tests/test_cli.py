@@ -86,7 +86,7 @@ def test_alpha_out_of_range_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["mine", *EXAMPLE_FLAGS, "--alpha", "1.1", "--beta", "0.6", "--gamma", "0.3"])
     assert info.value.code == 2
-    assert "not in (0, 1]" in capsys.readouterr().err
+    assert "occumine mine: error: alpha must be in (0, 1], got 1.1" in capsys.readouterr().err
 
 
 def test_missing_utility_file_exits_1(capsys):
@@ -434,7 +434,10 @@ def test_generate_bad_avg_length_exits_2(tmp_path, capsys, value):
               "--avg-length", value,
               "--data", str(tmp_path / "d.txt"), "--utility", str(tmp_path / "u.txt")])
     assert info.value.code == 2
-    assert "is not a finite number >= 1" in capsys.readouterr().err
+    assert (
+        "occumine generate: error: avg_transaction_length must be a finite number >= 1, "
+        f"got {float(value)}"
+    ) in capsys.readouterr().err
 
 
 def test_generate_huge_avg_length_fills_every_transaction(tmp_path, capsys):
@@ -473,6 +476,28 @@ def test_huge_max_quantity_exits_1(tmp_path, capsys, command, zeros):
     assert not data.exists()
 
 
+# 1e400 does not convert to a float, so no unit utility could be drawn.
+@pytest.mark.parametrize("command", ["generate", "augment"])
+def test_max_utility_beyond_the_float_range_exits_2(tmp_path, capsys, command):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("1 5 9\n2 5\n9 1\n")
+    data, utility = tmp_path / "d.txt", tmp_path / "u.txt"
+    source = {
+        "generate": ["--transactions", "5", "--items", "3", "--avg-length", "2"],
+        "augment": ["--input", str(plain)],
+    }[command]
+    huge = "1" + "0" * 400
+    with pytest.raises(SystemExit) as info:
+        main([command, "--seed", "1", *source, "--max-utility", huge,
+              "--data", str(data), "--utility", str(utility)])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"occumine {command}: error: "
+        f"max_unit_utility must be in [1, 1.7976931348623157e+308], got {huge}"
+    )
+    assert not data.exists() and not utility.exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "augment"])
 def test_inverted_probability_range_exits_2(tmp_path, capsys, command):
     source = {
@@ -484,7 +509,8 @@ def test_inverted_probability_range_exits_2(tmp_path, capsys, command):
         main([command, "--seed", "1", *source, "--prob-min", "0.5", "--prob-max", "0.4",
               "--data", str(data), "--utility", str(tmp_path / "u.txt")])
     assert info.value.code == 2
-    assert "--prob-min 0.5 is above --prob-max 0.4" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"occumine {command}: error: prob_min 0.5 is above prob_max 0.4" in err
     assert not data.exists()
 
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 
 import pytest
 
@@ -384,6 +385,17 @@ def test_generator_config_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         GeneratorConfig(**base)
+
+
+def test_generator_config_takes_unit_utilities_up_to_the_largest_float():
+    base = dict(seed=1, num_transactions=5, num_items=4, avg_transaction_length=2.0)
+    GeneratorConfig(**base, max_unit_utility=int(sys.float_info.max))
+    for value in (int(sys.float_info.max) + 1, 10**400):
+        with pytest.raises(ValueError) as info:
+            GeneratorConfig(**base, max_unit_utility=value)
+        assert str(info.value) == (
+            f"max_unit_utility must be in [1, 1.7976931348623157e+308], got {value}"
+        )
 
 
 @pytest.mark.parametrize("prob_min,prob_max", [(0.00001, 0.00002), (0.30004, 0.30006)])

@@ -9,6 +9,7 @@ from occumine import (
     DatabaseValidationError,
     PatternRecord,
     Thresholds,
+    UncertainDatabase,
     build_database,
     mine,
     validate_database,
@@ -44,6 +45,32 @@ def test_tu_mismatch_is_flagged(example_db):
     violations = validate_database(db)
     assert [v.tid for v in violations] == [1]
     assert "64.0" in violations[0].message and "65" in violations[0].message
+
+
+def test_correctly_rounded_tu_is_within_tolerance():
+    # Left to right, 0.1 + 1e8 + 0.3 is 100000000.39999999: 1.5e-8 below
+    # the correctly rounded total that fsum (and sum on 3.12+) gives.
+    utilities = {"a": 0.1, "b": 1e8, "c": 0.3}
+
+    def holding(tu):
+        transaction = Transaction(("a", "b", "c"), (1, 1, 1), (1.0, 1.0, 1.0), tu)
+        return UncertainDatabase((transaction,), utilities)
+
+    exact = math.fsum(utilities.values())
+    assert exact == 100000000.4
+    assert validate_database(holding(exact)) == []
+    assert mine(holding(exact), Thresholds(1.0, 0.5, 0.0)).patterns
+    assert [v.tid for v in validate_database(holding(exact * (1 + 1e-6)))] == [1]
+
+
+def test_quantity_beyond_the_float_range_is_flagged():
+    db = UncertainDatabase((Transaction(("a",), (10**400,), (0.5,), 1.0),), {"a": 1.0})
+    violations = validate_database(db)
+    assert [(v.message, v.tid) for v in violations] == [
+        ("transaction utility is not a finite number", 1)
+    ]
+    with pytest.raises(DatabaseValidationError, match="not a finite number"):
+        mine(db, Thresholds(0.5, 0.5, 0.5))
 
 
 def test_non_finite_utility_is_flagged():

@@ -4,14 +4,18 @@ list's mean, single-item lists under an order over some of the items
 hold the direct measures, every visited node's ruo and mean remaining
 equal the direct measures, a database's transaction table gives back the
 transactions it was built from, the parser only accepts valid databases
-and agrees with its per-token reference, and the CLI never raises."""
+and agrees with its per-token reference, the CLI never raises, and it
+refuses exactly the flags its model types refuse."""
 
 import contextlib
 import dataclasses
 import io
 import itertools
+import math
 import pickle
 import sys
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -46,6 +50,8 @@ from occumine import dataio
 from occumine.cli import main
 from occumine.lists import build_single_item_lists, construct, item_columns
 from occumine.model import TOL
+
+from conftest import EXAMPLE_TRANSACTIONS, EXAMPLE_UTILITIES
 
 ITEMS = "abcde"
 
@@ -334,6 +340,82 @@ def test_mine_cli_never_raises_on_fuzzed_text(tmp_path, texts):
     ]
     with contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 1)
+
+
+#: Any float, weighted towards the edges of the flags' ranges.
+flag_floats = st.one_of(
+    st.floats(),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, math.nextafter(1.0, 2.0),
+         5e-324, -5e-324, sys.float_info.min]
+    ),
+)
+
+
+def _refusal(build):
+    """The message of the ValueError ``build()`` raises, or None."""
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _assert_cli_agrees(argv, refusal):
+    """``main(argv)`` returns 0 when ``refusal`` is None, and otherwise
+    exits 2 with the subcommand's usage error carrying ``refusal``."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        if refusal is None:
+            assert main(argv) == 0
+            return
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+    assert info.value.code == 2
+    assert err.getvalue().endswith(f"occumine {argv[0]}: error: {refusal}\n")
+
+
+# "--flag=value", because argparse takes "-inf" or "-5e-324" after a
+# space for an option.
+@settings(max_examples=60, deadline=None)
+@given(alpha=flag_floats, beta=flag_floats, gamma=flag_floats)
+@example(alpha=1.0, beta=5e-324, gamma=-0.0)
+@example(alpha=math.nextafter(1.0, 2.0), beta=0.5, gamma=0.5)
+def test_mine_cli_refuses_exactly_what_thresholds_refuse(alpha, beta, gamma):
+    argv = [
+        "mine", "--data", str(EXAMPLE_TRANSACTIONS), "--utility", str(EXAMPLE_UTILITIES),
+        f"--alpha={alpha!r}", f"--beta={beta!r}", f"--gamma={gamma!r}",
+    ]
+    _assert_cli_agrees(argv, _refusal(lambda: Thresholds(alpha, beta, gamma)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(avg_length=flag_floats, prob_min=flag_floats, prob_max=flag_floats)
+@example(avg_length=1e308, prob_min=5e-324, prob_max=5e-324)
+@example(avg_length=1.0, prob_min=0.5, prob_max=0.4)
+def test_generate_cli_refuses_exactly_what_generator_config_refuses(
+    avg_length, prob_min, prob_max
+):
+    refusal = _refusal(
+        lambda: GeneratorConfig(
+            seed=1,
+            num_transactions=3,
+            num_items=3,
+            avg_transaction_length=avg_length,
+            prob_min=prob_min,
+            prob_max=prob_max,
+        )
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        data, utility = Path(tmp, "d.txt"), Path(tmp, "u.txt")
+        argv = [
+            "generate", "--seed", "1", "--transactions", "3", "--items", "3",
+            f"--avg-length={avg_length!r}", f"--prob-min={prob_min!r}",
+            f"--prob-max={prob_max!r}", "--data", str(data), "--utility", str(utility),
+        ]
+        _assert_cli_agrees(argv, refusal)
+        assert data.exists() == utility.exists() == (refusal is None)
 
 
 @st.composite
