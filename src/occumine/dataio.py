@@ -414,23 +414,44 @@ class GeneratorConfig:
 
     def __post_init__(self) -> None:
         if self.num_transactions < 0:
-            raise ValueError(f"num_transactions must be >= 0, got {self.num_transactions}")
+            raise ValueError(f"num_transactions must be >= 0, got {_shown(self.num_transactions)}")
         if self.num_items < 1:
-            raise ValueError(f"num_items must be >= 1, got {self.num_items}")
+            raise ValueError(f"num_items must be >= 1, got {_shown(self.num_items)}")
         length = self.avg_transaction_length
-        if not (math.isfinite(length) and length >= 1):
-            raise ValueError(f"avg_transaction_length must be a finite number >= 1, got {length}")
+        try:
+            finite = math.isfinite(length)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not (finite and length >= 1):
+            raise ValueError(
+                f"avg_transaction_length must be a finite number >= 1, got {_shown(length)}"
+            )
         if self.max_quantity < 1:
-            raise ValueError(f"max_quantity must be >= 1, got {self.max_quantity}")
+            raise ValueError(f"max_quantity must be >= 1, got {_shown(self.max_quantity)}")
         top = sys.float_info.max  # an int compares with a float exactly
         if not 1 <= self.max_unit_utility <= top:
-            raise ValueError(f"max_unit_utility must be in [1, {top}], got {self.max_unit_utility}")
+            raise ValueError(
+                f"max_unit_utility must be in [1, {top}], got {_shown(self.max_unit_utility)}"
+            )
         if not 0.0 < self.prob_min <= 1.0:
-            raise ValueError(f"prob_min must be in (0, 1], got {self.prob_min}")
+            raise ValueError(f"prob_min must be in (0, 1], got {_shown(self.prob_min)}")
         if not 0.0 < self.prob_max <= 1.0:
-            raise ValueError(f"prob_max must be in (0, 1], got {self.prob_max}")
+            raise ValueError(f"prob_max must be in (0, 1], got {_shown(self.prob_max)}")
         if self.prob_min > self.prob_max:
             raise ValueError(f"prob_min {self.prob_min} is above prob_max {self.prob_max}")
+
+
+def _shown(value) -> str:
+    """``value`` as a message shows it: an int too long for ``str`` (see
+    ``sys.set_int_max_str_digits``) is shown by its number of digits."""
+    try:
+        return str(value)
+    except ValueError:
+        n = abs(value)
+        digits = max(0, int((n.bit_length() - 1) * math.log10(2)) - 1)  # a lower bound
+        while 10**digits <= n:
+            digits += 1
+        return f"{'a negative' if value < 0 else 'an'} int of {digits} digits"
 
 
 def _draw_probability(rng: random.Random, config: GeneratorConfig) -> float:

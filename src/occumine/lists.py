@@ -3,23 +3,33 @@
 Each pattern owns a columnar list: parallel columns ``tids``, ``pro`` and
 ``uo`` hold, per supporting transaction, the tid, the pattern's existence
 probability and its utility share there; ``bits`` is the set of tids as
-an int bitset.  Lists for single items are filled from columns read in one
-database pass, and each also holds a ``ruo`` column: the remaining utility
-share of its item per transaction.  Every longer pattern's list is derived
-by joining its prefix's list with the single-item list of the item that
-extends it, so k-itemsets never touch the database again.
+an int bitset.  Every longer pattern's list is derived by joining its
+prefix's list with the single-item list of the item that extends it, so
+k-itemsets never touch the database again.
+
+Lists for single items are filled from columns that :func:`item_columns`
+reads from the database's occurrence columns: one C-level probe maps
+each occurrence to its item's column appenders (or to ``None`` for an
+item not asked for), and one loop over the kept occurrences alone
+appends them, reading each transaction's tu by tid.  Each also holds a
+``ruo`` column, the remaining utility share of its item per transaction,
+summed rank by rank in a list indexed by tid, for every single-item list
+at once, the first time any list's ruo is read.
 
 A pattern's remaining utility share in a transaction is its last item's,
 so a joined list copies no ruo column: it keeps ``rows``, its rows in the
 single-item list of its last item, and reads ruo through them.  Only the
-occupancy bound reads ruo, so a run that never bounds never gathers it,
-and a summary's mean ``remaining`` is summed only when it is read.
+occupancy bound reads ruo, so a run that never bounds never sums or
+gathers it, and a summary's mean ``remaining`` is summed only when it is
+read.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import compress
 from operator import add, mul
 from typing import Iterable
 
@@ -34,8 +44,11 @@ class PatternList:
     ``item_ruo`` is the ruo column of the single-item list of
     ``items[-1]``: a single-item list's own, with ``rows`` of ``None``.
     A joined list's ``rows`` holds, per tid, its row in that single-item
-    list, and ``ruo`` reads through them.  The columns are shared between
-    lists and must not be mutated.
+    list, and ``ruo`` reads through them.  ``fill_ruo``, when set, fills
+    every ``item_ruo`` of the single-item lists built with this one, in
+    place, the first time it is called; ``ruo`` calls it before reading.
+    The columns are shared between lists and must not be mutated
+    otherwise.
     """
 
     items: tuple[str, ...]
@@ -45,6 +58,7 @@ class PatternList:
     bits: int
     item_ruo: list[float]
     rows: list[int] | None = None
+    fill_ruo: Callable[[], None] | None = field(default=None, repr=False, compare=False)
     _row_of: dict[int, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -55,6 +69,8 @@ class PatternList:
     def ruo(self) -> list[float]:
         """The remaining utility share per tid, gathered on each read for a
         joined list."""
+        if self.fill_ruo is not None:
+            self.fill_ruo()
         if self.rows is None:
             return self.item_ruo
         return list(map(self.item_ruo.__getitem__, self.rows))
@@ -93,34 +109,43 @@ def _bitset(tids: list[int]) -> int:
     return int.from_bytes(buf, "little")
 
 
-#: Per item, the parallel columns ``(tids, pro, uo)`` of its occurrences.
-ItemColumns = dict[str, tuple[list[int], list[float], list[float]]]
+#: Per item, the parallel columns ``(tids, pro, uo)`` of its occurrences,
+#: and the sum of ``pro``.
+ItemColumns = dict[str, tuple[list[int], list[float], list[float], float]]
 
 
 def item_columns(db: UncertainDatabase, items: Iterable[str]) -> ItemColumns:
-    """Read, in one pass over ``db``'s occurrence columns, every occurrence
-    of ``items``.
+    """Read every occurrence of ``items`` from ``db``'s occurrence columns.
 
-    Each item gets ascending tids, its probability there, and its uo,
-    quantity * unit utility / tu, there.  Occurrences of other items are
-    skipped; they still count in tu, which covers the whole transaction.
+    Each item gets ascending tids, its probability there, its uo,
+    quantity * unit utility / tu, there, and its summed probability.  One
+    probe of the item column maps each occurrence to the appenders of its
+    item's columns, or to ``None``; one loop then appends each kept
+    occurrence, reading its transaction's tu by tid.  Occurrences of other
+    items are skipped; they still count in tu, which covers the whole
+    transaction.
     """
     utilities = db.unit_utilities
     table = db.transactions
-    columns: ItemColumns = {item: ([], [], []) for item in items}
-    kept = list(map(columns.__contains__, table.items))
-    for item, quantity, p, tid, tu in zip(
-        compress(table.items, kept),
-        compress(table.quantities, kept),
-        compress(table.probabilities, kept),
-        compress(table.per_occurrence(range(1, len(table) + 1)), kept),
-        compress(table.per_occurrence(table.tu), kept),
+    occurs = db.item_supports
+    filled = {item: ([], [], []) for item in items}
+    # Only an item that occurs has its unit utility looked up.
+    sinks = {
+        item: (tids.append, pro.append, uo.append, utilities[item] if item in occurs else 0.0)
+        for item, (tids, pro, uo) in filled.items()
+    }
+    owner = list(map(sinks.get, table.items))
+    tu = table.tu
+    for (add_tid, add_p, add_uo, unit), quantity, p, tid in zip(
+        compress(owner, owner),
+        compress(table.quantities, owner),
+        compress(table.probabilities, owner),
+        compress(table.per_occurrence(range(1, len(table) + 1)), owner),
     ):
-        tids, pro, uo = columns[item]
-        tids.append(tid)
-        pro.append(p)
-        uo.append(quantity * utilities[item] / tu)
-    return columns
+        add_tid(tid)
+        add_p(p)
+        add_uo(quantity * unit / tu[tid - 1])  # tid k is at index k - 1
+    return {item: (tids, pro, uo, sum(pro, 0.0)) for item, (tids, pro, uo) in filled.items()}
 
 
 def build_single_item_lists(
@@ -129,22 +154,35 @@ def build_single_item_lists(
     """The vertical list of every ranked item, from :func:`item_columns`.
 
     An item's ruo sums the uo of the ranked items after it in the same
-    transaction; items outside ``order`` never count.  Items are walked
-    from the last rank to the first, and ``tail[tid]`` sums the uo of
-    those already walked: each tail takes the same additions, in the same
+    transaction; items outside ``order`` never count.  Only the occupancy
+    bound reads ruo, so every list's ruo column is summed the first time
+    any list's ruo is read (see ``PatternList.fill_ruo``), never in a run
+    that does not read it.  Items are walked from the last rank to the
+    first, and ``tail[tid]``, a list indexed by tid, sums the uo of those
+    already walked: each tail takes the same additions, in the same
     order, as a left-to-right sum over a transaction's ranked occurrences
     in descending rank, so ruo is bit-identical to that sum.
     """
-    tail: dict[int, float] = {}
+    ranked = [columns[item] for item in order.items]
+    ruos: list[list[float]] = [[] for _ in ranked]
+    filled = False
+
+    def fill_ruo() -> None:
+        nonlocal filled
+        if filled:
+            return
+        filled = True
+        tail = [0.0] * (max((tids[-1] for tids, *_ in ranked if tids), default=0) + 1)
+        for (tids, _, uo, _), ruo in zip(reversed(ranked), reversed(ruos)):
+            ruo.extend(map(tail.__getitem__, tids))
+            deque(map(tail.__setitem__, tids, map(add, ruo, uo)), maxlen=0)
+
     result: dict[str, tuple[PatternList, PatternSummary]] = {}
-    for item in reversed(order.items):
-        tids, pro, uo = columns[item]
-        ruo = list(map(tail.get, tids, repeat(0.0)))
-        tail.update(zip(tids, map(add, ruo, uo)))
-        plist = PatternList((item,), tids, pro, uo, _bitset(tids), ruo)
+    for item, (tids, pro, uo, probability), ruo in zip(order.items, ranked, ruos):
+        plist = PatternList((item,), tids, pro, uo, _bitset(tids), ruo, fill_ruo=fill_ruo)
         n = len(tids)
-        result[item] = (plist, PatternSummary(n, sum(pro, 0.0), sum(uo) / n if n else 0.0, plist))
-    return dict(reversed(result.items()))
+        result[item] = (plist, PatternSummary(n, probability, sum(uo) / n if n else 0.0, plist))
+    return result
 
 
 def construct(
@@ -180,6 +218,6 @@ def construct(
     rows = list(map(row_of.__getitem__, tids))
     pro = list(map(mul, compress(xa.pro, hit), map(b.pro.__getitem__, rows)))
     uo = list(map(add, compress(xa.uo, hit), map(b.uo.__getitem__, rows)))
-    plist = PatternList(xa.items + b.items, tids, pro, uo, bits, b.item_ruo, rows)
+    plist = PatternList(xa.items + b.items, tids, pro, uo, bits, b.item_ruo, rows, b.fill_ruo)
     n = len(tids)
     return plist, PatternSummary(n, sum(pro, 0.0), sum(uo) / n if n else 0.0, plist)

@@ -24,8 +24,9 @@ sibling frames, so no recursion limit caps its depth.  It counts in
 :class:`MiningStats` what it drops, by reason: a child below the support
 or the probability minimum, a node cut by the occupancy bound, and an
 aborted join.  Only the bound gate reads a
-node's remaining utility, so under a preset without the bound no ruo is
-gathered and no mean remaining is summed.  The search calls
+node's remaining utility, and only for a node whose occupancy is below
+the minimum, so under a preset without the bound no ruo is gathered and
+no mean remaining is summed.  The search calls
 ``construct``, ``upper_bound`` and the set-up functions through this
 module's globals, so a wrapper set on one of those names sees every call.
 """
@@ -142,11 +143,11 @@ def mine(
     # they are always dropped.  Items below the probability minimum are
     # dropped only under probability pruning; otherwise they stay in the
     # order (and in ruo values) and the final filter handles them.  An
-    # item's probability is summed over the same column, in the same
-    # order, as its list's summary, so both hold one float.
+    # item's probability is summed once, with its columns, and its list's
+    # summary holds that sum.
     columns = item_columns(db, [i for i, c in db.item_supports.items() if c >= min_sup])
     if strategies.probability_prune:
-        columns = {item: column for item, column in columns.items() if sum(column[1]) >= min_pro}
+        columns = {item: column for item, column in columns.items() if column[3] >= min_pro}
     order = total_order(db, columns)
     singles = build_single_item_lists(columns, order)
     stats.constructed_lists += len(singles)
@@ -183,8 +184,14 @@ def mine(
             )
 
         # The bound is at least occupancy + remaining (see upper_bound), so
-        # only a node whose mean is below beta can be pruned by it.
-        if strategies.bound_prune and xa_sum.occupancy + xa_sum.remaining < beta:
+        # only a node whose mean is below beta can be pruned by it.  ruo is
+        # never negative, so a node whose occupancy alone reaches beta
+        # cannot be, and its ruo is not gathered.
+        if (
+            strategies.bound_prune
+            and xa_sum.occupancy < beta
+            and xa_sum.occupancy + xa_sum.remaining < beta
+        ):
             if upper_bound(xa_list, min_sup) < beta:
                 stats.pruned_bound += 1
                 continue

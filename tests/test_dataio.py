@@ -398,6 +398,34 @@ def test_generator_config_takes_unit_utilities_up_to_the_largest_float():
         )
 
 
+@pytest.mark.parametrize(
+    "field,sign",
+    [
+        ("num_transactions", -1),
+        ("num_items", -1),
+        ("avg_transaction_length", 1),
+        ("avg_transaction_length", -1),
+        ("max_quantity", -1),
+        ("max_unit_utility", 1),
+        ("max_unit_utility", -1),
+    ],
+)
+def test_generator_config_names_the_field_of_an_int_too_long_to_print(field, sign):
+    # str() of an int beyond 4,300 digits raises; the message counts them.
+    base = dict(seed=1, num_transactions=1, num_items=1, avg_transaction_length=1)
+    with pytest.raises(ValueError) as info:
+        GeneratorConfig(**{**base, field: sign * 10**5000})
+    article = "a negative" if sign < 0 else "an"
+    assert str(info.value).startswith(f"{field} must be ")
+    assert str(info.value).endswith(f", got {article} int of 5001 digits")
+
+
+def test_generator_config_takes_an_int_too_long_to_print_where_it_is_in_range():
+    base = dict(seed=1, num_transactions=1, num_items=1, avg_transaction_length=1)
+    for field in ("seed", "num_transactions", "num_items", "max_quantity"):
+        assert getattr(GeneratorConfig(**{**base, field: 10**5000}), field) == 10**5000
+
+
 @pytest.mark.parametrize("prob_min,prob_max", [(0.00001, 0.00002), (0.30004, 0.30006)])
 def test_drawn_probabilities_stay_in_range(prob_min, prob_max):
     # Rounded to four decimals alone, these draws would give 0.0001, and

@@ -51,6 +51,19 @@ def test_summaries_match_recomputation(example_singles):
         assert sum(plist.ruo) / n == pytest.approx(summary.remaining, abs=1e-9)
 
 
+def test_ruo_columns_are_summed_on_the_first_read(example_db):
+    # A fresh build: the module fixture's columns are already filled.
+    order = total_order(example_db)
+    singles = build_single_item_lists(item_columns(example_db, order.items), order)
+    lists = [plist for plist, _ in singles.values()]
+    assert all(plist.item_ruo == [] for plist in lists)
+    joined, _ = construct(singles["e"][0], singles["a"][0], 1)
+    columns = [plist.item_ruo for plist in lists]
+    assert len(joined.ruo) == joined.support
+    assert all(len(plist.item_ruo) == plist.support for plist in lists)
+    assert all(plist.item_ruo is column for plist, column in zip(lists, columns))  # in place
+
+
 def test_construct_first_level(example_singles):
     joined = construct(example_singles["e"][0], example_singles["a"][0], 1)
     assert joined is not None

@@ -123,6 +123,17 @@ def test_on_node_hook_changes_no_counter_and_no_bound_call(bench_db, monkeypatch
         assert plain_calls  # the bound is exercised, so "no extra call" means something
 
 
+def test_ruo_columns_are_summed_only_in_a_run_that_reads_them(bench_db):
+    # s13 never bounds; under full this triple calls the bound twice.
+    thresholds = Thresholds(0.05, 0.1, 0.02)
+    for strategies, read in ((S13, False), (FULL, True)):
+        roots = []
+        mine(bench_db, thresholds, strategies, on_node=lambda plist, _: roots.append(plist))
+        roots = [plist for plist in roots if plist.rows is None]
+        assert roots
+        assert all(len(plist.item_ruo) == (plist.support if read else 0) for plist in roots)
+
+
 PRUNE_COUNTERS = ("pruned_support", "pruned_probability", "pruned_bound", "joins_aborted")
 
 

@@ -1,11 +1,12 @@
 """Generated-input properties: miner equals oracle, the oracle's enumeration
 agrees with the per-pattern measures, the occupancy bound is at least a
 list's mean, single-item lists under an order over some of the items
-hold the direct measures, every visited node's ruo and mean remaining
-equal the direct measures, a database's transaction table gives back the
-transactions it was built from, the parser only accepts valid databases
-and agrees with its per-token reference, the CLI never raises, and it
-refuses exactly the flags its model types refuse."""
+hold the direct measures and equal a per-transaction reference exactly,
+every visited node's ruo and mean remaining equal the direct measures, a
+database's transaction table gives back the transactions it was built
+from, the parser only accepts valid databases and agrees with its
+per-token reference, the CLI never raises, and it refuses exactly the
+flags its model types refuse."""
 
 import contextlib
 import dataclasses
@@ -15,6 +16,7 @@ import math
 import pickle
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -203,6 +205,47 @@ def test_single_item_lists_under_a_subset_order(db, data):
     assert all(ruo == 0.0 for ruo in singles[order.items[-1]][0].ruo)
 
 
+#: Unit utility 0 for ``e``: it occurs but adds nothing to tu, uo or ruo.
+ZERO_UTILITY_DB = parse_database(
+    "a:2:0.5 e:3:0.25 b:1:1\ne:1:0.125 c:2:0.75\nb:3:0.5\n", "a 3\nb 7\nc 0.1\nd 2\ne 0\n"
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(db=databases(), ranked=st.permutations(ITEMS), size=st.integers(0, len(ITEMS)))
+@example(db=ZERO_UTILITY_DB, ranked=list("eacbd"), size=4)
+@example(db=ZERO_UTILITY_DB, ranked=list("beacd"), size=2)
+def test_single_item_lists_equal_a_per_transaction_reference_exactly(db, ranked, size):
+    # Built transaction by transaction from db.transactions, the way the
+    # definitions read; nothing is allowed to differ, not even by a rounding.
+    order = total_order(db, [item for item in ranked[:size] if item in db.item_supports])
+    singles = build_single_item_lists(item_columns(db, order.items), order)
+    assert list(singles) == list(order.items)
+    for item, (plist, summary) in singles.items():
+        tids, pro, uo, ruo = [], [], [], []
+        for tid, t in enumerate(db.transactions, 1):
+            if item not in t.items:
+                continue
+            k = t.items.index(item)
+            tids.append(tid)
+            pro.append(t.probabilities[k])
+            uo.append(t.quantities[k] * db.unit_utilities[item] / t.tu)
+            later = sorted(
+                (order.rank[other], j)
+                for j, other in enumerate(t.items)
+                if order.rank.get(other, -1) > order.rank[item]
+            )
+            total = 0.0
+            for _, j in reversed(later):  # descending rank, left to right
+                total += t.quantities[j] * db.unit_utilities[t.items[j]] / t.tu
+            ruo.append(total)
+        assert plist.tids == tids
+        for got, want in ((plist.pro, pro), (plist.uo, uo), (plist.ruo, ruo)):
+            assert list(map(float.hex, got)) == list(map(float.hex, want))
+        assert plist.bits == sum(1 << tid for tid in tids)
+        assert summary.probability == sum(pro, 0.0)
+
+
 def _measures(itemset, db):
     try:
         occupancy = utility_occupancy(itemset, db)
@@ -287,6 +330,51 @@ def test_bound_gate_keeps_the_search(bench_db, triple, preset):
         stats.visited_nodes, stats.candidate_joins, stats.constructed_lists, stats.patterns_found
     )
     assert counts == SEARCH_COUNTS[triple, preset]
+
+
+#: ``(upper_bound calls, pruned_bound)`` of ``mine(bench_db, ...)``, recorded
+#: with ruo gathered at every node.
+BOUND_COUNTS = {
+    ((0.05, 0.1, 0.02), "full"): (2, 0),
+    ((0.05, 0.1, 0.02), "s12"): (7, 2),
+    ((0.03, 0.2, 0.0), "full"): (395, 163),
+    ((0.03, 0.2, 0.0), "s12"): (395, 163),
+}
+
+
+@pytest.mark.parametrize("triple,preset", BOUND_COUNTS)
+def test_bound_gate_gathers_ruo_only_below_beta(bench_db, monkeypatch, triple, preset):
+    # A node whose occupancy reaches beta cannot be pruned, since ruo is
+    # never negative, so the gate reads its ruo (through remaining) only
+    # below beta, and upper_bound reads it once more where it is called.
+    import occumine.miner as miner_module
+    from occumine.lists import PatternList
+
+    reads = Counter()
+    gathered = PatternList.ruo.fget
+    monkeypatch.setattr(
+        PatternList, "ruo", property(lambda plist: reads.update([plist.items]) or gathered(plist))
+    )
+    calls = []
+    monkeypatch.setattr(
+        miner_module,
+        "upper_bound",
+        lambda plist, k: calls.append(plist.items) or upper_bound(plist, k),
+    )
+    nodes = []
+    thresholds = Thresholds(*triple)
+    stats = mine(
+        bench_db, thresholds, PRESETS[preset], on_node=lambda *node: nodes.append(node)
+    ).stats
+    counted = +reads  # a copy: reading remaining below reads ruo again
+
+    beta = thresholds.beta - TOL
+    below = [(p.items, s.occupancy + s.remaining < beta) for p, s in nodes if s.occupancy < beta]
+    expected = Counter({items: 1 + bounded for items, bounded in below})
+    assert counted == expected
+    assert calls == [items for items, bounded in below if bounded]
+    assert (len(calls), stats.pruned_bound) == BOUND_COUNTS[triple, preset]
+    assert len(below) < len(nodes)  # some node is not gathered
 
 
 GARBAGE = ["", "x", "a-b", "é", ":", "-1", "0", "1e-400", "nan", "inf", "#", "\t", "\r", "\n"]
