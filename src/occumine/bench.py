@@ -15,8 +15,8 @@ import io
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .dataio import load_database
-from .errors import PlanError
+from .dataio import _decode, load_database
+from .errors import ParseError, PlanError
 from .miner import PRESETS, mine
 from .model import Thresholds
 
@@ -119,15 +119,19 @@ def plan_from_values(values: Mapping[str, str]) -> BenchPlan:
     )
 
 
-def parse_plan(text: str) -> BenchPlan:
+def parse_plan(text: str | bytes) -> BenchPlan:
     """Parse the key=value plan format.
 
     Keys: data, utility (comma-separated path lists of equal length),
     alphas, betas, gammas (comma-separated numbers), strategies
     (comma-separated preset names, default ``full``), repetitions
     (default 1).  ``#`` starts a comment.  A key that is unknown or given
-    twice is an error naming its line.
+    twice is an error naming its line, and so are bytes that are not UTF-8.
     """
+    try:
+        text = _decode(text)
+    except ParseError as exc:
+        raise PlanError(str(exc)) from None
     values: dict[str, str] = {}
     for number, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()

@@ -362,6 +362,9 @@ def write_database(db: UncertainDatabase) -> tuple[str, str]:
             raise ValueError(f"item id {item!r} cannot be serialized")
         if not math.isfinite(value):
             raise ValueError(f"unit utility {value} of item {item!r} cannot be serialized")
+    for item in db.item_supports:
+        if not _ITEM_RE.match(item):
+            raise ValueError(f"item id {item!r} cannot be serialized")
 
     table = db.transactions
     finite = list(map(math.isfinite, table.probabilities))

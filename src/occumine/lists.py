@@ -20,8 +20,7 @@ A pattern's remaining utility share in a transaction is its last item's,
 so a joined list copies no ruo column: it keeps ``rows``, its rows in the
 single-item list of its last item, and reads ruo through them.  Only the
 occupancy bound reads ruo, so a run that never bounds never sums or
-gathers it, and a summary's mean ``remaining`` is summed only when it is
-read.
+gathers it.
 """
 
 from __future__ import annotations
@@ -85,18 +84,12 @@ class PatternList:
 
 @dataclass(slots=True)
 class PatternSummary:
-    """Aggregates over one pattern's list: support, total probability,
-    mean utility occupancy, and, summed when read, mean remaining utility
-    occupancy (all zero for an empty list)."""
+    """Aggregates over one pattern's list: support, total probability and
+    mean utility occupancy (all zero for an empty list)."""
 
     support: int
     probability: float
     occupancy: float
-    plist: PatternList = field(repr=False)
-
-    @property
-    def remaining(self) -> float:
-        return sum(self.plist.ruo) / self.support if self.support else 0.0
 
 
 def _bitset(tids: list[int]) -> int:
@@ -181,7 +174,7 @@ def build_single_item_lists(
     for item, (tids, pro, uo, probability), ruo in zip(order.items, ranked, ruos):
         plist = PatternList((item,), tids, pro, uo, _bitset(tids), ruo, fill_ruo=fill_ruo)
         n = len(tids)
-        result[item] = (plist, PatternSummary(n, probability, sum(uo) / n if n else 0.0, plist))
+        result[item] = (plist, PatternSummary(n, probability, sum(uo) / n if n else 0.0))
     return result
 
 
@@ -220,4 +213,4 @@ def construct(
     uo = list(map(add, compress(xa.uo, hit), map(b.uo.__getitem__, rows)))
     plist = PatternList(xa.items + b.items, tids, pro, uo, bits, b.item_ruo, rows, b.fill_ruo)
     n = len(tids)
-    return plist, PatternSummary(n, sum(pro, 0.0), sum(uo) / n if n else 0.0, plist)
+    return plist, PatternSummary(n, sum(pro, 0.0), sum(uo) / n if n else 0.0)

@@ -23,12 +23,12 @@ The search is one loop inside :func:`mine` over an explicit stack of
 sibling frames, so no recursion limit caps its depth.  It counts in
 :class:`MiningStats` what it drops, by reason: a child below the support
 or the probability minimum, a node cut by the occupancy bound, and an
-aborted join.  Only the bound gate reads a
-node's remaining utility, and only for a node whose occupancy is below
-the minimum, so under a preset without the bound no ruo is gathered and
-no mean remaining is summed.  The search calls
-``construct``, ``upper_bound`` and the set-up functions through this
-module's globals, so a wrapper set on one of those names sees every call.
+aborted join.  Only :func:`upper_bound` reads a node's remaining
+utility, once per call, and the search calls it only for a node whose
+occupancy is below the minimum, so under a preset without the bound no
+ruo is gathered.  The search calls ``construct``, ``upper_bound`` and the
+set-up functions through this module's globals, so a wrapper set on one
+of those names sees every call.
 """
 
 from __future__ import annotations
@@ -90,16 +90,7 @@ def upper_bound(plist: PatternList, min_sup_count: int) -> float:
     values dominates it.  Lists shorter than the minimum still divide by
     ``min_sup_count``: the missing transactions contribute nothing to any
     extension's numerator.
-
-    The search calls this only when the node's summary mean
-    ``occupancy + remaining`` is below the minimum.  A node that gets this
-    far has at least ``min_sup_count`` rows, and the mean of its
-    ``min_sup_count`` largest uo + ruo values is at least the mean over
-    all its rows, which is that summary mean.  So when the summary mean
-    reaches the minimum, so does the bound, and the sort cannot prune.
     """
-    if not plist.tids:
-        return 0.0
     top = sorted(map(add, plist.uo, plist.ruo), reverse=True)[:min_sup_count]
     return sum(top) / min_sup_count
 
@@ -183,18 +174,17 @@ def mine(
                 )
             )
 
-        # The bound is at least occupancy + remaining (see upper_bound), so
-        # only a node whose mean is below beta can be pruned by it.  ruo is
-        # never negative, so a node whose occupancy alone reaches beta
-        # cannot be, and its ruo is not gathered.
+        # A visited node has at least min_sup rows and ruo is never
+        # negative, so its bound is at least its occupancy: a node whose
+        # occupancy reaches beta cannot be pruned, and its ruo is not
+        # gathered.
         if (
             strategies.bound_prune
             and xa_sum.occupancy < beta
-            and xa_sum.occupancy + xa_sum.remaining < beta
+            and upper_bound(xa_list, min_sup) < beta
         ):
-            if upper_bound(xa_list, min_sup) < beta:
-                stats.pruned_bound += 1
-                continue
+            stats.pruned_bound += 1
+            continue
 
         children: list[tuple[PatternList, PatternSummary]] = []
         for xb_list, _ in extensions[index + 1 :]:

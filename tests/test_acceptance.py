@@ -97,11 +97,11 @@ def test_criterion_1_golden_example():
     checks.append(abs(e_list.uo[0] - 0.1837) < 1e-4)
     checks.append(abs(e_list.ruo[0] - 0.8163) < 1e-4)
 
-    b_summary = singles["b"][1]
+    b_list, b_summary = singles["b"]
     checks.append(b_summary.support == 5)
     checks.append(abs(b_summary.probability - 3.3) < 1e-9)
     checks.append(abs(b_summary.occupancy - 0.2192) < 1e-4)
-    checks.append(abs(b_summary.remaining - 0.4181) < 1e-4)
+    checks.append(abs(sum(b_list.ruo) / len(b_list.ruo) - 0.4181) < 1e-4)
 
     measures = oracle_measures(db, 2)
     checks.append(abs(measures[frozenset("c")][2] - 0.6468) < 1e-4)

@@ -338,6 +338,13 @@ def test_bench_plan_file_bad_key_exits_2(tmp_path, capsys, extra, message):
     assert message in err
 
 
+def test_bench_plan_file_not_utf8_exits_2(tmp_path, capsys):
+    plan = tmp_path / "plan.txt"
+    plan.write_bytes(b"\xff" + PLAN_TEXT.encode())
+    code, out, err = run(["bench", "--plan", str(plan)], capsys)
+    assert (code, out, err) == (2, "", "occumine: line 1: invalid UTF-8 byte 0xff\n")
+
+
 def test_bench_plan_file_takes_no_plan_flag(tmp_path, capsys):
     plan = tmp_path / "plan.txt"
     plan.write_text(PLAN_TEXT)

@@ -10,6 +10,8 @@ from occumine import (
     MissingUtilityError,
     ParseError,
     Thresholds,
+    Transaction,
+    UncertainDatabase,
     augment,
     build_database,
     generate,
@@ -209,6 +211,13 @@ def test_write_refuses_a_non_finite_probability(value):
         ValueError,
         match=f"^probability {value} of item 'b' in transaction 2 cannot be serialized$",
     ):
+        write_database(db)
+
+
+def test_write_refuses_an_item_id_with_no_unit_utility_entry():
+    # The line would read as two tokens, "x" and "y:1:0.5".
+    db = UncertainDatabase([Transaction(("x y",), (1,), (0.5,), 1.0)], {})
+    with pytest.raises(ValueError, match="^item id 'x y' cannot be serialized$"):
         write_database(db)
 
 

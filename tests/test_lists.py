@@ -29,26 +29,30 @@ def test_single_list_of_e(example_singles):
 
 
 def test_summary_of_b(example_singles):
-    _, summary = example_singles["b"]
+    plist, summary = example_singles["b"]
     assert summary.support == 5
     assert summary.probability == pytest.approx(3.3, abs=1e-9)
     assert summary.occupancy == pytest.approx(0.2192, abs=1e-4)
-    assert summary.remaining == pytest.approx(0.4181, abs=1e-4)
+    assert sum(plist.ruo) / summary.support == pytest.approx(0.4181, abs=1e-4)
 
 
 def test_last_item_has_zero_remaining(example_singles):
-    plist, summary = example_singles["c"]
+    plist, _ = example_singles["c"]
     assert all(ruo == 0.0 for ruo in plist.ruo)
-    assert summary.remaining == 0.0
+    assert sum(plist.ruo) == 0.0
 
 
-def test_summaries_match_recomputation(example_singles):
+def test_summaries_match_recomputation(example_singles, example_db):
+    order = total_order(example_db)
     for plist, summary in example_singles.values():
         n = len(plist.tids)
         assert summary.support == n
         assert sum(plist.pro) == pytest.approx(summary.probability, abs=1e-9)
         assert sum(plist.uo) / n == pytest.approx(summary.occupancy, abs=1e-9)
-        assert sum(plist.ruo) / n == pytest.approx(summary.remaining, abs=1e-9)
+        remaining = [
+            remaining_utility_occupancy(plist.items, tid, example_db, order) for tid in plist.tids
+        ]
+        assert sum(plist.ruo) / n == pytest.approx(sum(remaining) / n, abs=1e-9)
 
 
 def test_ruo_columns_are_summed_on_the_first_read(example_db):

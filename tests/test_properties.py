@@ -2,7 +2,7 @@
 agrees with the per-pattern measures, the occupancy bound is at least a
 list's mean, single-item lists under an order over some of the items
 hold the direct measures and equal a per-transaction reference exactly,
-every visited node's ruo and mean remaining equal the direct measures, a
+every visited node's ruo and occupancy bound equal the direct measures, a
 database's transaction table gives back the transactions it was built
 from, the parser only accepts valid databases and agrees with its
 per-token reference, the CLI never raises, and it refuses exactly the
@@ -136,9 +136,9 @@ def test_enumeration_equals_per_pattern_measures(db):
 @settings(max_examples=150, deadline=None)
 @given(db=databases(), k=st.integers(min_value=1, max_value=8))
 def test_bound_is_at_least_the_list_mean(db, k):
-    # The search skips the bound's sort when occupancy + remaining reaches
-    # beta.  That is sound only if no list with support >= k has a bound
-    # below this mean.
+    # The search skips the bound when occupancy reaches beta.  That is sound
+    # only if no list with support >= k has a bound below its mean
+    # occupancy + remaining, which is at least its occupancy.
     order = total_order(db)
     singles = build_single_item_lists(item_columns(db, order.items), order)
     level = list(singles.values())
@@ -146,7 +146,8 @@ def test_bound_is_at_least_the_list_mean(db, k):
         deeper = []
         for plist, summary in level:
             if summary.support >= k:
-                assert summary.occupancy + summary.remaining <= upper_bound(plist, k) + TOL
+                remaining = sum(plist.ruo) / summary.support
+                assert summary.occupancy + remaining <= upper_bound(plist, k) + TOL
             if summary.support:
                 later = order.items[order.rank[plist.items[-1]] + 1 :]
                 deeper += [construct(plist, singles[item][0], k) for item in later]
@@ -156,8 +157,9 @@ def test_bound_is_at_least_the_list_mean(db, k):
 @settings(max_examples=150, deadline=None)
 @given(db=databases(), th=thresholds)
 def test_values_read_on_demand_at_every_node(db, th):
-    # ruo is read through a joined list's rows and remaining is summed only
-    # when read; under s1 and s13 the search itself reads neither.
+    # A joined list reads ruo through its rows; under s1 and s13 the search
+    # itself never reads ruo.  The bound is the mean of the min_sup largest
+    # uo + ruo values, each measured on its own transaction.
     min_sup = th.min_support(len(db))
     for strategies in PRESETS.values():
         nodes = []
@@ -176,9 +178,11 @@ def test_values_read_on_demand_at_every_node(db, th):
             expected = [remaining_utility_occupancy(items, tid, db, order) for tid in tids]
             assert len(ruo) == len(tids)
             assert all(abs(got - want) <= TOL for got, want in zip(ruo, expected))
-            assert summary.remaining == sum(ruo) / len(ruo)
-            assert abs(summary.remaining - sum(expected) / len(expected)) <= TOL
-            assert bound >= summary.occupancy + summary.remaining - TOL
+            assert bound >= summary.occupancy + sum(ruo) / len(ruo) - TOL
+            alone = [dataclasses.replace(db, transactions=(db.transaction(tid),)) for tid in tids]
+            uo = [utility_occupancy(items, one) for one in alone]
+            top = sorted(map(sum, zip(uo, expected)), reverse=True)[:min_sup]
+            assert abs(bound - sum(top) / min_sup) <= TOL
 
 
 @settings(max_examples=150, deadline=None)
@@ -332,21 +336,21 @@ def test_bound_gate_keeps_the_search(bench_db, triple, preset):
     assert counts == SEARCH_COUNTS[triple, preset]
 
 
-#: ``(upper_bound calls, pruned_bound)`` of ``mine(bench_db, ...)``, recorded
-#: with ruo gathered at every node.
+#: ``(upper_bound calls, pruned_bound)`` of ``mine(bench_db, ...)``: one call
+#: per visited node whose occupancy is below beta.
 BOUND_COUNTS = {
-    ((0.05, 0.1, 0.02), "full"): (2, 0),
-    ((0.05, 0.1, 0.02), "s12"): (7, 2),
-    ((0.03, 0.2, 0.0), "full"): (395, 163),
-    ((0.03, 0.2, 0.0), "s12"): (395, 163),
+    ((0.05, 0.1, 0.02), "full"): (35, 0),
+    ((0.05, 0.1, 0.02), "s12"): (49, 2),
+    ((0.03, 0.2, 0.0), "full"): (661, 163),
+    ((0.03, 0.2, 0.0), "s12"): (661, 163),
 }
 
 
 @pytest.mark.parametrize("triple,preset", BOUND_COUNTS)
 def test_bound_gate_gathers_ruo_only_below_beta(bench_db, monkeypatch, triple, preset):
     # A node whose occupancy reaches beta cannot be pruned, since ruo is
-    # never negative, so the gate reads its ruo (through remaining) only
-    # below beta, and upper_bound reads it once more where it is called.
+    # never negative, so the gate calls upper_bound, the one reader of ruo,
+    # only below beta.
     import occumine.miner as miner_module
     from occumine.lists import PatternList
 
@@ -366,13 +370,11 @@ def test_bound_gate_gathers_ruo_only_below_beta(bench_db, monkeypatch, triple, p
     stats = mine(
         bench_db, thresholds, PRESETS[preset], on_node=lambda *node: nodes.append(node)
     ).stats
-    counted = +reads  # a copy: reading remaining below reads ruo again
 
     beta = thresholds.beta - TOL
-    below = [(p.items, s.occupancy + s.remaining < beta) for p, s in nodes if s.occupancy < beta]
-    expected = Counter({items: 1 + bounded for items, bounded in below})
-    assert counted == expected
-    assert calls == [items for items, bounded in below if bounded]
+    below = [p.items for p, s in nodes if s.occupancy < beta]
+    assert reads == Counter(below)
+    assert calls == below
     assert (len(calls), stats.pruned_bound) == BOUND_COUNTS[triple, preset]
     assert len(below) < len(nodes)  # some node is not gathered
 
