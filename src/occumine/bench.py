@@ -15,7 +15,7 @@ import io
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .dataio import _decode, load_database
+from .dataio import _decode, _lines, load_database
 from .errors import ParseError, PlanError
 from .miner import PRESETS, mine
 from .model import Thresholds
@@ -125,18 +125,19 @@ def parse_plan(text: str | bytes) -> BenchPlan:
     Keys: data, utility (comma-separated path lists of equal length),
     alphas, betas, gammas (comma-separated numbers), strategies
     (comma-separated preset names, default ``full``), repetitions
-    (default 1).  ``#`` starts a comment.  A key that is unknown or given
-    twice is an error naming its line, and so are bytes that are not UTF-8.
+    (default 1).  Lines are read as in the data formats: LF or CRLF, and
+    blank lines and lines whose first non-blank character is ``#`` are
+    skipped; a ``#`` after a value is part of it.  A key that is unknown
+    or given twice is an error naming its line, and so are bytes that are
+    not UTF-8.
     """
     try:
         text = _decode(text)
     except ParseError as exc:
         raise PlanError(str(exc)) from None
     values: dict[str, str] = {}
-    for number, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for number, line in _lines(text):
+        line = line.strip()
         if "=" not in line:
             raise PlanError(f"line {number}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
@@ -158,25 +159,12 @@ def run_plan(plan: BenchPlan) -> list[dict[str, object]]:
             thresholds = Thresholds(alpha, beta, gamma)
             for preset in plan.presets:
                 for rep in range(1, plan.repetitions + 1):
-                    outcome = mine(db, thresholds, PRESETS[preset])
-                    rows.append(
-                        {
-                            "dataset": data_path,
-                            "alpha": alpha,
-                            "beta": beta,
-                            "gamma": gamma,
-                            "strategy": preset,
-                            "rep": rep,
-                            "runtime_ms": f"{outcome.stats.elapsed_seconds * 1000.0:.3f}",
-                            "visited_nodes": outcome.stats.visited_nodes,
-                            "constructed_lists": outcome.stats.constructed_lists,
-                            "patterns": outcome.stats.patterns_found,
-                            "pruned_support": outcome.stats.pruned_support,
-                            "pruned_probability": outcome.stats.pruned_probability,
-                            "pruned_bound": outcome.stats.pruned_bound,
-                            "joins_aborted": outcome.stats.joins_aborted,
-                        }
-                    )
+                    row = mine(db, thresholds, PRESETS[preset]).stats.as_dict()
+                    row["runtime_ms"] = f"{row['elapsed_ms']:.3f}"
+                    row["patterns"] = row["patterns_found"]
+                    row.update(dataset=data_path, alpha=alpha, beta=beta, gamma=gamma,
+                               strategy=preset, rep=rep)
+                    rows.append({column: row[column] for column in CSV_COLUMNS})
     return rows
 
 

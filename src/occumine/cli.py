@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=_cmd_bench)
 
     p_gen = sub.add_parser("generate", help="generate a synthetic database")
-    p_gen.add_argument("--transactions", type=_positive_int, required=True)
+    p_gen.add_argument("--transactions", type=int, required=True)
     p_gen.add_argument("--items", type=int, required=True)
     p_gen.add_argument("--avg-length", type=float, required=True,
                        help="mean transaction length, a finite number >= 1")

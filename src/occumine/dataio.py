@@ -33,6 +33,7 @@ import random
 import re
 import sys
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain, repeat
@@ -62,8 +63,10 @@ _TOKEN_MARKS = bytes(32 if c in _SPACES else ord("x") for c in range(256))
 _BLANK_SEPARATORS = bytes(32 if c in _SPACES or c == _COLON else c for c in range(256))
 _FIELD_BYTES = bytes(c for c in range(256) if c not in _SPACES and c != _COLON)
 
-#: One parsed line: items, quantities, probabilities and total utility.
-_Row = tuple[tuple[str, ...], tuple[int, ...], tuple[float, ...], float]
+#: One parsed block: each content line's end offset and total utility,
+#: then the occurrence columns, as a :class:`TransactionTable` of that
+#: block alone takes them.
+_Block = tuple[Sequence[int], Sequence[float], Sequence[str], Sequence[int], Sequence[float]]
 
 
 def _decode(text: str | bytes) -> str:
@@ -132,17 +135,16 @@ def parse_utilities(utility_text: str | bytes) -> dict[str, float]:
     return utilities
 
 
-def _parse_tokens(numbered_lines, utilities: dict[str, float]) -> list[_Row]:
+def _parse_tokens(numbered_lines, utilities: dict[str, float]) -> _Block:
     """Parse content lines token by token: the reference parser.
 
     ``numbered_lines`` holds ``(line_number, line)`` pairs as
     :func:`_lines` yields them.  Each check raises on its own token, so
     an error names the file line and the 1-based column where the
-    offending token starts.  Returns one row per line.
+    offending token starts.  Returns the lines as one block.
     """
-    rows: list[_Row] = []
+    ends, totals, items, quantities, probabilities = [], [], [], [], []
     for number, line in numbered_lines:
-        row: list[tuple[str, int, float]] = []
         seen: set[str] = set()
         tu = 0.0
         for match in _TOKEN_RE.finditer(line):
@@ -185,7 +187,9 @@ def _parse_tokens(numbered_lines, utilities: dict[str, float]) -> list[_Row]:
                 )
             if not known:
                 raise MissingUtilityError(item, number)
-            row.append((item, quantity, prob))
+            items.append(item)
+            quantities.append(quantity)
+            probabilities.append(prob)
             try:
                 tu += quantity * utilities[item]
             except OverflowError:
@@ -196,9 +200,9 @@ def _parse_tokens(numbered_lines, utilities: dict[str, float]) -> list[_Row]:
             raise ParseError("transaction total utility is not a finite number", number)
         if tu == 0:
             raise ParseError("transaction has zero total utility", number)
-        items, quantities, probabilities = zip(*row)
-        rows.append((items, quantities, probabilities, tu))
-    return rows
+        totals.append(tu)
+        ends.append(len(items))
+    return ends, totals, items, quantities, probabilities
 
 
 def _spans(ends: list[int]):
@@ -208,15 +212,13 @@ def _spans(ends: list[int]):
 
 def _parse_block(
     lines: list[bytes], utilities: dict[str, float], ids: dict[bytes, str]
-) -> tuple[tuple, tuple, tuple, list[float], list[int]] | None:
+) -> _Block | None:
     """Parse a block of raw lines as whole columns, or return None.
 
-    Returns the block's items, quantities and probabilities as flat
-    columns, then each content line's total utility and the end offset
-    of its occurrences in those columns.  ``ids`` maps each item of
-    ``utilities``, encoded, to the key itself, so the database holds one
-    string per distinct item, not one per occurrence.  Together the
-    columns are equal bit for bit to the rows of :func:`_parse_tokens`:
+    ``ids`` maps each item of ``utilities``, encoded, to the key itself,
+    so the database holds one string per distinct item, not one per
+    occurrence.  The block is equal bit for bit to the one
+    :func:`_parse_tokens` returns for the same lines:
     each total is summed left to right as the token loop sums it (``sum``
     is compensated on Python 3.12+, so it can differ).
 
@@ -248,7 +250,7 @@ def _parse_block(
     ):
         return None
     if not fields:  # only blank lines
-        return (), (), (), [], []
+        return [], [], (), (), ()
     try:
         items = tuple(map(ids.__getitem__, fields[0::3]))
         quantities = tuple(map(int, fields[1::3]))
@@ -279,7 +281,7 @@ def _parse_block(
         and max(totals) < math.inf
     ):
         return None
-    return items, quantities, probabilities, totals, ends
+    return ends, totals, items, quantities, probabilities
 
 
 def parse_database(
@@ -303,26 +305,15 @@ def parse_database(
     utilities = parse_utilities(utility_text)
     ids = {item.encode(): item for item in utilities}
 
-    items: list[str] = []
-    quantities: list[int] = []
-    probabilities: list[float] = []
-    totals: list[float] = []
-    ends: list[int] = []
+    ends, totals, items, quantities, probabilities = [], [], [], [], []
     raw_lines = _encode(transactions_text).split(b"\n")
     for first in range(0, len(raw_lines), _BLOCK_LINES):
         lines = raw_lines[first : first + _BLOCK_LINES]
-        columns = _parse_block(lines, utilities, ids)
-        if columns is None:
+        block = _parse_block(lines, utilities, ids)
+        if block is None:
             text = b"\n".join(lines).decode("utf-8", "surrogatepass")
-            rows = _parse_tokens(_lines(text, first + 1), utilities)
-            for row_items, row_quantities, row_probabilities, tu in rows:
-                items.extend(row_items)
-                quantities.extend(row_quantities)
-                probabilities.extend(row_probabilities)
-                totals.append(tu)
-                ends.append(len(items))
-            continue
-        block_items, block_quantities, block_probabilities, block_totals, block_ends = columns
+            block = _parse_tokens(_lines(text, first + 1), utilities)
+        block_ends, block_totals, block_items, block_quantities, block_probabilities = block
         ends.extend(map(add, block_ends, repeat(len(items))))
         items.extend(block_items)
         quantities.extend(block_quantities)

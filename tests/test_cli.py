@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from occumine import PRESETS, Thresholds, mine
 from occumine.cli import main
 
 from conftest import EXAMPLE_TRANSACTIONS, EXAMPLE_UTILITIES
@@ -181,6 +182,20 @@ def test_oracle_budget_exceeded_exits_3(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [("0", "argument --max-len: 0 must be >= 1"),
+     ("x", "argument --max-len: 'x' is not an integer")],
+)
+def test_oracle_bad_max_len_exits_2(capsys, value, message):
+    with pytest.raises(SystemExit) as info:
+        main(["oracle", *EXAMPLE_FLAGS, "--alpha", "0.3", "--beta", "0.3", "--gamma", "0.05",
+              "--max-len", value])
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out) == (2, "")
+    assert captured.err.endswith(f"occumine oracle: error: {message}\n")
+
+
 def test_stats_output(capsys):
     code, out, _ = run(["stats", *EXAMPLE_FLAGS], capsys)
     assert code == 0
@@ -218,7 +233,7 @@ def test_stats_sums_total_utility_left_to_right(tmp_path, capsys):
     assert values["total_utility"] == "10000000000000000.0000"
 
 
-def test_bench_inline(capsys):
+def test_bench_inline(capsys, example_db):
     code, out, _ = run(
         ["bench", *EXAMPLE_FLAGS, "--alphas", "0.2,0.3,0.4", "--betas", "0.3",
          "--gammas", "0.05", "--strategies", "full,s12,s13,s1"],
@@ -230,6 +245,19 @@ def test_bench_inline(capsys):
     assert list(rows[0])[-5:] == [
         "patterns", "pruned_support", "pruned_probability", "pruned_bound", "joins_aborted"
     ]
+    for row in rows:
+        thresholds = Thresholds(float(row["alpha"]), float(row["beta"]), float(row["gamma"]))
+        stats = mine(example_db, thresholds, PRESETS[row["strategy"]]).stats
+        expected = {
+            "visited_nodes": stats.visited_nodes,
+            "constructed_lists": stats.constructed_lists,
+            "patterns": stats.patterns_found,
+            "pruned_support": stats.pruned_support,
+            "pruned_probability": stats.pruned_probability,
+            "pruned_bound": stats.pruned_bound,
+            "joins_aborted": stats.joins_aborted,
+        }
+        assert {column: int(row[column]) for column in expected} == expected
     # pattern counts are identical across presets at each sweep point
     by_alpha = {}
     for row in rows:
@@ -328,6 +356,9 @@ PLAN_TEXT = (
         ("strategy = s1\n", "line 6: unknown key 'strategy'"),
         ("repetition = 3\n", "line 6: unknown key 'repetition'"),
         ("betas = 0.4\n", "line 6: key 'betas' is given twice"),
+        ("alphas 0.3\n", "line 6: expected key=value, got 'alphas 0.3'"),
+        # A comment line with a CRLF end and a blank line count as lines.
+        ("# note\r\n\nstrategy = s1\n", "line 8: unknown key 'strategy'"),
     ],
 )
 def test_bench_plan_file_bad_key_exits_2(tmp_path, capsys, extra, message):
@@ -364,6 +395,16 @@ def test_bench_plan_file_takes_no_plan_flag(tmp_path, capsys):
          "repetitions must be >= 1"),
         (["--alphas", "0.3", "--betas", "0.3", "--gammas", "0", "--strategies", "s2"],
          "unknown strategy preset 's2'"),
+        (["--data", "", "--utility", "", "--alphas", "0.3", "--betas", "0.3", "--gammas", "0"],
+         "plan needs at least one dataset (data + utility path)"),
+        (["--alphas", "", "--betas", "0.3", "--gammas", "0"],
+         "plan needs at least one value for each threshold"),
+        (["--alphas", "0.3", "--betas", "0.3", "--gammas", "0", "--strategies", ""],
+         "plan needs at least one strategy preset"),
+        (["--data", "a,b", "--alphas", "0.3", "--betas", "0.3", "--gammas", "0"],
+         "data and utility path lists must have the same length"),
+        (["--alphas", "0.3", "--betas", "0.3", "--gammas", "0", "--repetitions", "x"],
+         "bad repetitions 'x'"),
     ],
 )
 def test_bench_bad_inline_plan_exits_2(capsys, flags, message):
@@ -432,6 +473,23 @@ def test_generate_is_deterministic(tmp_path, capsys):
         assert code == 0
         texts.append(data.read_bytes() + utility.read_bytes())
     assert texts[0] == texts[1]
+
+
+def test_generate_zero_transactions_writes_an_empty_database(tmp_path, capsys):
+    data, utility = tmp_path / "d.txt", tmp_path / "u.txt"
+    code, _, _ = run(
+        ["generate", "--seed", "1", "--transactions", "0", "--items", "3",
+         "--avg-length", "2", "--data", str(data), "--utility", str(utility)],
+        capsys,
+    )
+    assert code == 0
+    assert data.read_bytes() == b""
+    code, out, err = run(
+        ["mine", "--data", str(data), "--utility", str(utility),
+         "--alpha", "0.5", "--beta", "0.5", "--gamma", "0"],
+        capsys,
+    )
+    assert (code, out, err) == (0, "", "")
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "0.5"])

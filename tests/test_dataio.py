@@ -11,6 +11,7 @@ from occumine import (
     ParseError,
     Thresholds,
     Transaction,
+    TransactionTable,
     UncertainDatabase,
     augment,
     build_database,
@@ -104,8 +105,8 @@ def test_non_finite_total_utility_rejected(data, utilities, column, message):
     assert message in str(info.value)
 
 
-def _token_rows(text, utility_text):
-    """The rows of the per-token reference parser, or the error it raises."""
+def _token_block(text, utility_text):
+    """The block of the per-token reference parser, or the error it raises."""
     try:
         return dataio._parse_tokens(dataio._lines(text), parse_utilities(utility_text))
     except ParseError as error:
@@ -126,9 +127,9 @@ def _multi_block_lines():
 def test_multi_block_file_parses_like_token_parser():
     text = "\n".join(_multi_block_lines())
     db = parse_database(text, UTILITY_TEXT)
-    rows = _token_rows(text, UTILITY_TEXT)
-    assert len(db) == len(rows) == 2 * dataio._BLOCK_LINES + 4
-    assert [(t.items, t.quantities, t.probabilities, t.tu) for t in db.transactions] == rows
+    block = _token_block(text, UTILITY_TEXT)
+    assert len(db) == 2 * dataio._BLOCK_LINES + 4
+    assert db.transactions == TransactionTable(*block)
 
 
 def _assert_block_edge_error(bad):
@@ -139,7 +140,7 @@ def _assert_block_edge_error(bad):
     text = "\n".join(lines)
     with pytest.raises(ParseError) as info:
         parse_database(text, UTILITY_TEXT)
-    expected = _token_rows(text, UTILITY_TEXT)
+    expected = _token_block(text, UTILITY_TEXT)
     assert (info.value.line, info.value.column) == (bad + 1, 9)
     assert (expected.line, expected.column) == (bad + 1, 9)
     assert str(info.value) == str(expected)

@@ -27,13 +27,36 @@ def test_example_db_is_valid(example_db):
     assert validate_database(example_db) == []
 
 
-def test_zero_probability_is_flagged():
-    db = build_database([[("a", 1, 0.0), ("b", 2, 0.5)]], {"a": 3.0, "b": 1.0})
-    violations = validate_database(db)
-    assert len(violations) == 1
-    assert violations[0].tid == 1
-    assert violations[0].item == "a"
-    assert "probability" in violations[0].message
+@pytest.mark.parametrize(
+    "rows, utilities, expected",
+    [
+        pytest.param(
+            [[("a", 1, 0.0), ("b", 2, 0.5)]], {"a": 3.0, "b": 1.0},
+            ("probability 0.0 outside (0, 1]", 1, "a"), id="zero probability",
+        ),
+        pytest.param(
+            [[("a", 1, 0.5)]], {"a": 1.0, "b": -1.0},
+            ("unit utility is negative", None, "b"), id="negative unit utility",
+        ),
+        pytest.param(
+            [[("a", 0, 0.5), ("b", 1, 0.5)]], {"a": 1.0, "b": 1.0},
+            ("quantity 0 below 1", 1, "a"), id="zero quantity",
+        ),
+        pytest.param(
+            [[("a", 1, 0.5)]], {"a": 0.0},
+            ("transaction utility is not positive", 1, None), id="zero total utility",
+        ),
+    ],
+)
+def test_one_bad_value_is_flagged(rows, utilities, expected):
+    db = build_database(rows, utilities)
+    assert [(v.message, v.tid, v.item) for v in validate_database(db)] == [expected]
+
+
+def test_validation_error_shows_three_violations_and_counts_the_rest():
+    db = build_database([[("a", 1, 0.0)]] * 5, {"a": 1.0})
+    with pytest.raises(DatabaseValidationError, match=r"\(tid 3, item 'a'\); and 2 more$"):
+        mine(db, Thresholds(0.5, 0.5, 0.5))
 
 
 def test_tu_mismatch_is_flagged(example_db):

@@ -31,6 +31,7 @@ from occumine import (
     ParseError,
     Thresholds,
     Transaction,
+    TransactionTable,
     UncertainDatabase,
     UndefinedMeasureError,
     build_database,
@@ -481,16 +482,24 @@ def test_mine_cli_refuses_exactly_what_thresholds_refuse(alpha, beta, gamma):
 
 
 @settings(max_examples=60, deadline=None)
-@given(avg_length=flag_floats, prob_min=flag_floats, prob_max=flag_floats)
-@example(avg_length=1e308, prob_min=5e-324, prob_max=5e-324)
-@example(avg_length=1.0, prob_min=0.5, prob_max=0.4)
+@given(
+    transactions=st.integers(-2, 3),
+    avg_length=flag_floats,
+    prob_min=flag_floats,
+    prob_max=flag_floats,
+)
+@example(transactions=3, avg_length=1e308, prob_min=5e-324, prob_max=5e-324)
+@example(transactions=3, avg_length=1.0, prob_min=0.5, prob_max=0.4)
+# An empty database is a valid one; a negative count is not.
+@example(transactions=0, avg_length=2.0, prob_min=0.1, prob_max=1.0)
+@example(transactions=-1, avg_length=2.0, prob_min=0.1, prob_max=1.0)
 def test_generate_cli_refuses_exactly_what_generator_config_refuses(
-    avg_length, prob_min, prob_max
+    transactions, avg_length, prob_min, prob_max
 ):
     refusal = _refusal(
         lambda: GeneratorConfig(
             seed=1,
-            num_transactions=3,
+            num_transactions=transactions,
             num_items=3,
             avg_transaction_length=avg_length,
             prob_min=prob_min,
@@ -500,7 +509,7 @@ def test_generate_cli_refuses_exactly_what_generator_config_refuses(
     with tempfile.TemporaryDirectory() as tmp:
         data, utility = Path(tmp, "d.txt"), Path(tmp, "u.txt")
         argv = [
-            "generate", "--seed", "1", "--transactions", "3", "--items", "3",
+            "generate", "--seed", "1", f"--transactions={transactions}", "--items", "3",
             f"--avg-length={avg_length!r}", f"--prob-min={prob_min!r}",
             f"--prob-max={prob_max!r}", "--data", str(data), "--utility", str(utility),
         ]
@@ -630,9 +639,8 @@ def _outcome(parse, data, utility):
 def _token_parse(data, utility):
     """``parse_database`` as the per-token reference parser alone does it."""
     utilities = dataio.parse_utilities(utility)
-    rows = dataio._parse_tokens(dataio._lines(dataio._decode(data)), utilities)
-    transactions = tuple(Transaction(*row) for row in rows)
-    return UncertainDatabase(transactions, dict(utilities))
+    block = dataio._parse_tokens(dataio._lines(dataio._decode(data)), utilities)
+    return UncertainDatabase(TransactionTable(*block), dict(utilities))
 
 
 @settings(max_examples=400, deadline=None)
