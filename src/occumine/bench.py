@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Mapping
 
 from .dataio import _decode, _lines, load_database
@@ -75,10 +76,7 @@ class BenchPlan:
                 raise PlanError(f"bad sweep point {point}: {exc}") from None
 
     def sweep_points(self) -> Iterator[tuple[float, float, float]]:
-        for alpha in self.alphas:
-            for beta in self.betas:
-                for gamma in self.gammas:
-                    yield alpha, beta, gamma
+        return product(self.alphas, self.betas, self.gammas)
 
 
 #: The keys of a plan; ``occumine bench`` takes the same ones as flags.

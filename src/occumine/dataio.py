@@ -36,12 +36,12 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from operator import add, floordiv, mul
 from pathlib import Path
 
 from .errors import MissingUtilityError, ParseError
-from .model import TransactionTable, UncertainDatabase, build_database
+from .model import TransactionTable, UncertainDatabase, _spans, build_database
 
 _ITEM_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _TOKEN_RE = re.compile(r"\S+")
@@ -203,11 +203,6 @@ def _parse_tokens(numbered_lines, utilities: dict[str, float]) -> _Block:
         totals.append(tu)
         ends.append(len(items))
     return ends, totals, items, quantities, probabilities
-
-
-def _spans(ends: list[int]):
-    """Slices of each line's occurrences, given their end offsets."""
-    return map(slice, chain((0,), ends), ends)
 
 
 def _parse_block(
@@ -374,6 +369,9 @@ def write_database(db: UncertainDatabase) -> tuple[str, str]:
         )
     )
     transaction_lines = list(map(" ".join, map(tokens.__getitem__, table.spans())))
+    if "" in transaction_lines:
+        tid = transaction_lines.index("") + 1
+        raise ValueError(f"transaction {tid} has no item and cannot be serialized")
     utility_lines = [
         f"{item} {_format_number(value)}"
         for item, value in sorted(db.unit_utilities.items())
@@ -540,13 +538,7 @@ def augment(plain_text: str | bytes, config: GeneratorConfig) -> UncertainDataba
     rows: list[list[tuple[str, int, float]]] = []
     for tokens in token_rows:
         quantities: dict[str, int] = {}
-        ordered: list[str] = []
         for token in tokens:
-            if token not in quantities:
-                quantities[token] = 0
-                ordered.append(token)
-            quantities[token] += rng.randint(1, config.max_quantity)
-        rows.append(
-            [(item, quantities[item], _draw_probability(rng, config)) for item in ordered]
-        )
+            quantities[token] = quantities.get(token, 0) + rng.randint(1, config.max_quantity)
+        rows.append([(item, q, _draw_probability(rng, config)) for item, q in quantities.items()])
     return build_database(rows, utilities)

@@ -8,9 +8,9 @@ prefix's list with the single-item list of the item that extends it, so
 k-itemsets never touch the database again.
 
 Lists for single items are filled from columns that :func:`item_columns`
-reads from the database's occurrence columns: one C-level probe maps
-each occurrence to its item's column appenders (or to ``None`` for an
-item not asked for), and one loop over the kept occurrences alone
+reads for items that occur, so no single-item list is empty: one C-level
+probe maps each occurrence to its item's column appenders (or to ``None``
+for an item not asked for), and one loop over the kept occurrences alone
 appends them, reading each transaction's tu by tid.  Each also holds a
 ``ruo`` column, the remaining utility share of its item per transaction,
 summed rank by rank in a list indexed by tid, for every single-item list
@@ -93,9 +93,7 @@ class PatternSummary:
 
 
 def _bitset(tids: list[int]) -> int:
-    """The int whose set bits are exactly ``tids``."""
-    if not tids:
-        return 0
+    """The int whose set bits are exactly ``tids``, which is not empty."""
     buf = bytearray((tids[-1] >> 3) + 1)
     for tid in tids:
         buf[tid >> 3] |= 1 << (tid & 7)
@@ -110,21 +108,19 @@ ItemColumns = dict[str, tuple[list[int], list[float], list[float], float]]
 def item_columns(db: UncertainDatabase, items: Iterable[str]) -> ItemColumns:
     """Read every occurrence of ``items`` from ``db``'s occurrence columns.
 
-    Each item gets ascending tids, its probability there, its uo,
-    quantity * unit utility / tu, there, and its summed probability.  One
-    probe of the item column maps each occurrence to the appenders of its
-    item's columns, or to ``None``; one loop then appends each kept
-    occurrence, reading its transaction's tu by tid.  Occurrences of other
-    items are skipped; they still count in tu, which covers the whole
-    transaction.
+    Only items that occur in ``db`` may be asked for.  Each item gets
+    ascending tids, its probability there, its uo, quantity * unit
+    utility / tu, there, and its summed probability.  One probe of the
+    item column maps each occurrence to the appenders of its item's
+    columns, or to ``None``; one loop then appends each kept occurrence,
+    reading its transaction's tu by tid.  Occurrences of other items are
+    skipped; they still count in tu, which covers the whole transaction.
     """
     utilities = db.unit_utilities
     table = db.transactions
-    occurs = db.item_supports
     filled = {item: ([], [], []) for item in items}
-    # Only an item that occurs has its unit utility looked up.
     sinks = {
-        item: (tids.append, pro.append, uo.append, utilities[item] if item in occurs else 0.0)
+        item: (tids.append, pro.append, uo.append, utilities[item])
         for item, (tids, pro, uo) in filled.items()
     }
     owner = list(map(sinks.get, table.items))
@@ -165,7 +161,7 @@ def build_single_item_lists(
         if filled:
             return
         filled = True
-        tail = [0.0] * (max((tids[-1] for tids, *_ in ranked if tids), default=0) + 1)
+        tail = [0.0] * (max((tids[-1] for tids, *_ in ranked), default=0) + 1)
         for (tids, _, uo, _), ruo in zip(reversed(ranked), reversed(ruos)):
             ruo.extend(map(tail.__getitem__, tids))
             deque(map(tail.__setitem__, tids, map(add, ruo, uo)), maxlen=0)
@@ -173,8 +169,7 @@ def build_single_item_lists(
     result: dict[str, tuple[PatternList, PatternSummary]] = {}
     for item, (tids, pro, uo, probability), ruo in zip(order.items, ranked, ruos):
         plist = PatternList((item,), tids, pro, uo, _bitset(tids), ruo, fill_ruo=fill_ruo)
-        n = len(tids)
-        result[item] = (plist, PatternSummary(n, probability, sum(uo) / n if n else 0.0))
+        result[item] = (plist, PatternSummary(len(tids), probability, sum(uo) / len(tids)))
     return result
 
 

@@ -48,9 +48,6 @@ class TotalOrder:
         """Return the pattern's items as a tuple sorted by rank."""
         return tuple(sorted(pattern, key=self.rank.__getitem__))
 
-    def __len__(self) -> int:
-        return len(self.items)
-
 
 def total_order(db: UncertainDatabase, promising: Iterable[str] | None = None) -> TotalOrder:
     """Rank items by ascending support count, ties broken by ascending id.
@@ -92,28 +89,30 @@ def support_count(pattern: Iterable[str], db: UncertainDatabase) -> int:
     return sum(1 for _ in _supporting(p, db))
 
 
+def _pattern_utilities(p: frozenset[str], db: UncertainDatabase) -> Iterator[tuple[float, float]]:
+    """``(utility of p, tu)`` in each transaction of ``db`` holding ``p``, in order."""
+    utilities = db.unit_utilities
+    for item in p:
+        if item not in utilities:
+            raise MissingUtilityError(item)
+    for items, quantities, _, tu in _supporting(p, db):
+        yield sum(q * utilities[i] for i, q in zip(items, quantities) if i in p), tu
+
+
 def utility(pattern: Iterable[str], db: UncertainDatabase) -> float:
     """Total utility of the pattern over its supporting transactions."""
-    p = _as_pattern(pattern)
-    for item in p:
-        if item not in db.unit_utilities:
-            raise MissingUtilityError(item)
     total = 0.0
-    for items, quantities, _, _ in _supporting(p, db):
-        total += sum(q * db.unit_utilities[i] for i, q in zip(items, quantities) if i in p)
+    for u, _ in _pattern_utilities(_as_pattern(pattern), db):
+        total += u
     return total
 
 
 def utility_occupancy(pattern: Iterable[str], db: UncertainDatabase) -> float:
     """Average share of transaction utility the pattern claims where it occurs."""
     p = _as_pattern(pattern)
-    for item in p:
-        if item not in db.unit_utilities:
-            raise MissingUtilityError(item)
     share_sum = 0.0
     supporting = 0
-    for items, quantities, _, tu in _supporting(p, db):
-        u = sum(q * db.unit_utilities[i] for i, q in zip(items, quantities) if i in p)
+    for u, tu in _pattern_utilities(p, db):
         share_sum += u / tu
         supporting += 1
     if supporting == 0:

@@ -142,7 +142,6 @@ def mine(
     order = total_order(db, columns)
     singles = build_single_item_lists(columns, order)
     stats.constructed_lists += len(singles)
-    single_lists = {item: plist for item, (plist, _) in singles.items()}
     found: list[PatternRecord] = []
 
     # Depth first from an explicit stack, so the depth is not capped by the
@@ -191,7 +190,7 @@ def mine(
             stats.candidate_joins += 1
             joined = construct(
                 xa_list,
-                single_lists[xb_list.items[-1]],
+                singles[xb_list.items[-1]][0],
                 min_sup,
                 join_abort=strategies.join_abort,
             )

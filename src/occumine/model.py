@@ -62,6 +62,11 @@ def min_support_count(alpha: float, db_size: int) -> int:
     return max(1, math.ceil(alpha * db_size - TOL))
 
 
+def _spans(ends: Sequence[int]) -> Iterator[slice]:
+    """Each transaction's slice of the occurrence columns, from their end offsets."""
+    return map(slice, chain((0,), ends), ends)
+
+
 @dataclass(frozen=True)
 class ItemOccurrence:
     """One item inside a transaction."""
@@ -147,7 +152,7 @@ class TransactionTable(Sequence):
 
     def spans(self) -> Iterator[slice]:
         """The slice of the occurrence columns each transaction holds, in order."""
-        return map(slice, chain((0,), self.ends), self.ends)
+        return _spans(self.ends)
 
     def lengths(self) -> Iterator[int]:
         """The number of occurrences of each transaction, in order."""
@@ -359,7 +364,7 @@ class MiningStats:
     (an empty join included) or the probability minimum,
     ``pruned_bound`` counts nodes whose subtree the occupancy bound cut,
     and ``joins_aborted`` counts joins the tid bitsets stopped before any
-    row was built.
+    row was built.  The field order is :meth:`as_dict`'s and ``--stats``'s.
     """
 
     visited_nodes: int = 0
@@ -373,17 +378,14 @@ class MiningStats:
     joins_aborted: int = 0
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "visited_nodes": self.visited_nodes,
-            "constructed_lists": self.constructed_lists,
-            "candidate_joins": self.candidate_joins,
-            "patterns_found": self.patterns_found,
-            "elapsed_ms": self.elapsed_seconds * 1000.0,
-            "pruned_support": self.pruned_support,
-            "pruned_probability": self.pruned_probability,
-            "pruned_bound": self.pruned_bound,
-            "joins_aborted": self.joins_aborted,
-        }
+        """Every field in order, ``elapsed_seconds`` given as ``elapsed_ms``."""
+        counters = {}
+        for column in fields(self):
+            if column.name == "elapsed_seconds":
+                counters["elapsed_ms"] = self.elapsed_seconds * 1000.0
+            else:
+                counters[column.name] = getattr(self, column.name)
+        return counters
 
 
 @dataclass(frozen=True)

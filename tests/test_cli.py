@@ -67,8 +67,11 @@ def test_mine_writes_output_and_stats_files(tmp_path, capsys):
     stats = dict(line.split("=") for line in stats_path.read_text().splitlines())
     assert stats["patterns_found"] == "1"
     assert int(stats["visited_nodes"]) >= 1
-    assert "elapsed_ms" in stats
-    assert list(stats)[-4:] == ["pruned_support", "pruned_probability", "pruned_bound", "joins_aborted"]
+    # The counters in README's order.
+    assert list(stats) == [
+        "visited_nodes", "constructed_lists", "candidate_joins", "patterns_found", "elapsed_ms",
+        "pruned_support", "pruned_probability", "pruned_bound", "joins_aborted",
+    ]
 
 
 def test_mine_repeated_runs_are_byte_identical(tmp_path, capsys):

@@ -215,6 +215,13 @@ def test_write_refuses_a_non_finite_probability(value):
         write_database(db)
 
 
+def test_write_refuses_a_transaction_with_no_item():
+    # Its line would be blank, which the parser skips, shifting every later tid.
+    db = build_database([[("a", 1, 0.5)], [], [("b", 2, 0.25)]], {"a": 1.0, "b": 1.0})
+    with pytest.raises(ValueError, match="^transaction 2 has no item and cannot be serialized$"):
+        write_database(db)
+
+
 def test_write_refuses_an_item_id_with_no_unit_utility_entry():
     # The line would read as two tokens, "x" and "y:1:0.5".
     db = UncertainDatabase([Transaction(("x y",), (1,), (0.5,), 1.0)], {})
@@ -492,6 +499,15 @@ def test_augment_preserves_structure():
         ["1", "9"],
     ]
     assert validate_database(db) == []
+
+
+def test_augment_golden_vector():
+    # Repeated tokens out of sorted order: each item keeps its first place
+    # on its line, and the draws run token by token, then item by item.
+    assert write_database(augment("b a b c a\nz z\n", AUGMENT_CONFIG)) == (
+        "b:5:0.5231 a:3:0.8211 c:2:0.5285\nz:3:0.3079\n",
+        "a 5\nb 6\nc 9\nz 1\n",
+    )
 
 
 def test_augment_merges_duplicates():

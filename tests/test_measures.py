@@ -57,9 +57,10 @@ def test_utility_on_single_transaction_db(example_db):
     assert utility({"e"}, sub) == 9
 
 
-def test_missing_utility_entry(example_db):
+@pytest.mark.parametrize("measure", [utility, utility_occupancy], ids=lambda f: f.__name__)
+def test_missing_utility_entry(example_db, measure):
     with pytest.raises(MissingUtilityError):
-        utility({"zz"}, example_db)
+        measure({"zz"}, example_db)
 
 
 def test_utility_occupancy_values(example_db):

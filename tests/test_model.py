@@ -14,7 +14,7 @@ from occumine import (
     mine,
     validate_database,
 )
-from occumine.model import ItemOccurrence, Transaction, min_support_count
+from occumine.model import ItemOccurrence, Transaction, TransactionTable, min_support_count
 
 EXPECTED_TU = [65, 37, 38, 11, 49, 58, 23, 61, 59, 42]
 
@@ -143,6 +143,19 @@ def test_column_length_mismatch_is_flagged(example_db):
             (ragged,) + example_db.transactions[1:],
             example_db.unit_utilities,
         )
+
+
+@pytest.mark.parametrize(
+    "ends, tu",
+    [
+        pytest.param([1, 2], [1.0], id="ends and tu differ in length"),
+        pytest.param([2, 1, 2], [1.0, 1.0, 1.0], id="decreasing ends"),
+        pytest.param([1, 1], [1.0, 1.0], id="last end short of the items"),
+    ],
+)
+def test_transaction_table_refuses_columns_that_do_not_line_up(ends, tu):
+    with pytest.raises(ValueError, match="^transaction table columns do not line up$"):
+        TransactionTable(ends, tu, ("a", "b"), (1, 1), (0.5, 0.5))
 
 
 def test_build_database_transposes_rows():
