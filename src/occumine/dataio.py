@@ -23,7 +23,8 @@ check is decoded and parsed token by token by the reference parser, so
 the database and every error are the same on either path.
 
 Probabilities are written with however many digits round-trip exactly,
-and the parser accepts full precision, so parse(write(db)) == db.
+and the parser accepts full precision, so parse(write(db)) == db for
+every database the writer accepts.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 import random
 import re
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
@@ -40,8 +41,8 @@ from itertools import accumulate, repeat
 from operator import add, floordiv, mul
 from pathlib import Path
 
-from .errors import MissingUtilityError, ParseError
-from .model import TransactionTable, UncertainDatabase, _spans, build_database
+from .errors import DatabaseValidationError, MissingUtilityError, ParseError
+from .model import TransactionTable, UncertainDatabase, _spans, build_database, validate_database
 
 _ITEM_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _TOKEN_RE = re.compile(r"\S+")
@@ -340,26 +341,23 @@ def _format_number(value: float) -> str:
 def write_database(db: UncertainDatabase) -> tuple[str, str]:
     """Render a database back into the two text formats.
 
-    Occurrence order inside transactions is preserved, so the round trip
-    through :func:`parse_database` reproduces the database exactly.
+    Raises :class:`DatabaseValidationError` for every database ``mine``
+    refuses, reading its recorded verdict or else running (not recording)
+    :func:`validate_database`, and ``ValueError`` for an item id the format
+    cannot hold.  ``parse(write(db)) == db`` for every database written,
+    occurrence order included.  The file holds no ``tu``: it reads back as
+    the left-to-right total, which every database the package builds stores.
     """
-    for item, value in db.unit_utilities.items():
-        if not _ITEM_RE.match(item):
-            raise ValueError(f"item id {item!r} cannot be serialized")
-        if not math.isfinite(value):
-            raise ValueError(f"unit utility {value} of item {item!r} cannot be serialized")
-    for item in db.item_supports:
+    violations = db.verdict
+    if violations is None:
+        violations = validate_database(db)
+    if violations:
+        raise DatabaseValidationError(violations)
+    for item in db.unit_utilities:
         if not _ITEM_RE.match(item):
             raise ValueError(f"item id {item!r} cannot be serialized")
 
     table = db.transactions
-    finite = list(map(math.isfinite, table.probabilities))
-    if not all(finite):
-        k = finite.index(False)
-        raise ValueError(
-            f"probability {table.probabilities[k]} of item {table.items[k]!r} "
-            f"in transaction {bisect_right(table.ends, k) + 1} cannot be serialized"
-        )
     tokens = list(
         map(
             "{}:{}:{}".format,
@@ -369,9 +367,6 @@ def write_database(db: UncertainDatabase) -> tuple[str, str]:
         )
     )
     transaction_lines = list(map(" ".join, map(tokens.__getitem__, table.spans())))
-    if "" in transaction_lines:
-        tid = transaction_lines.index("") + 1
-        raise ValueError(f"transaction {tid} has no item and cannot be serialized")
     utility_lines = [
         f"{item} {_format_number(value)}"
         for item, value in sorted(db.unit_utilities.items())

@@ -31,7 +31,7 @@ from math import comb, prod
 from typing import Iterable, Iterator, Mapping
 
 from .errors import EnumerationBudgetError, MissingUtilityError, UndefinedMeasureError
-from .model import TOL, PatternRecord, Thresholds, UncertainDatabase
+from .model import PatternRecord, Thresholds, UncertainDatabase
 
 #: Default cap on itemsets the oracle may examine before giving up.
 DEFAULT_ENUMERATION_BUDGET = 1_000_000
@@ -229,14 +229,12 @@ def oracle_filter(
     """Records of the itemsets in ``measures`` (:func:`oracle_measures` of
     ``db``) that pass all thresholds, sorted by their id-sorted item tuple,
     with items rendered in the mining total order."""
-    n = len(db)
-    min_sup = thresholds.min_support(n)
-    min_pro = thresholds.min_probability(n)
+    min_sup, min_pro, min_uo = thresholds.cutoffs(len(db))
     order = total_order(db)
     found = [
         PatternRecord(order.sort_pattern(itemset), support, pro, uo)
         for itemset, (support, pro, uo) in measures.items()
-        if support >= min_sup and pro >= min_pro - TOL and uo >= thresholds.beta - TOL
+        if support >= min_sup and pro >= min_pro and uo >= min_uo
     ]
     found.sort(key=PatternRecord.sort_key)
     return found

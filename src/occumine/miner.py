@@ -41,14 +41,7 @@ from operator import add
 from .errors import DatabaseValidationError
 from .lists import PatternList, PatternSummary, build_single_item_lists, construct, item_columns
 from .measures import total_order
-from .model import (
-    TOL,
-    MiningStats,
-    PatternRecord,
-    Thresholds,
-    UncertainDatabase,
-    validate_database,
-)
+from .model import MiningStats, PatternRecord, Thresholds, UncertainDatabase, validate_database
 
 
 @dataclass(frozen=True)
@@ -125,10 +118,7 @@ def mine(
 
     stats = MiningStats()
     started = time.perf_counter()
-    n = len(db)
-    min_sup = thresholds.min_support(n)
-    min_pro = thresholds.min_probability(n) - TOL
-    beta = thresholds.beta - TOL
+    min_sup, min_pro, beta = thresholds.cutoffs(len(db))
 
     # Items below the minimum support can head no qualifying pattern, so
     # they are always dropped.  Items below the probability minimum are

@@ -9,7 +9,7 @@ database stores its utility table as a read-only copy of the mapping it
 was given, so nothing can change it after construction, and counts its
 item supports once, at construction; its item universe is their keys.
 
-A database is checked at most once.  It records the verdict of
+The miner checks a database at most once.  It records the verdict of
 :func:`validate_database` the first time the miner asks for it, and
 ``parse_database`` records the empty verdict up front because it
 enforces every invariant the check looks for.  Direct construction and
@@ -45,11 +45,11 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 #: The one floating-point tolerance.  A measure clears a threshold ``t``
-#: when ``x >= t - TOL``, because repeated list joins accumulate rounding
-#: error; :func:`min_support_count` gives the same slack to the support
-#: fraction.  A stored transaction utility must agree with its left-to-right
-#: total (:func:`transaction_utility`) within ``TOL``, relative:
-#: ``abs(total - tu) <= TOL * max(1.0, abs(total))``.
+#: when ``x >= t - TOL`` (:meth:`Thresholds.cutoffs`), because repeated list
+#: joins accumulate rounding error; :func:`min_support_count` gives the same
+#: slack to the support fraction.  A stored transaction utility must agree
+#: with its left-to-right total (:func:`transaction_utility`) within ``TOL``,
+#: relative: ``abs(total - tu) <= TOL * max(1.0, abs(total))``.
 TOL = 1e-9
 
 
@@ -319,6 +319,12 @@ class Thresholds:
     def min_probability(self, db_size: int) -> float:
         return self.gamma * db_size
 
+    def cutoffs(self, db_size: int) -> tuple[int, float, float]:
+        """The least support, probability and occupancy a reported pattern
+        has in ``db_size`` transactions, ``(min_sup, min_pro, min_uo)``, the
+        float ones less ``TOL``: the one threshold rule of miner and oracle."""
+        return self.min_support(db_size), self.min_probability(db_size) - TOL, self.beta - TOL
+
 
 @dataclass(frozen=True)
 class PatternRecord:
@@ -431,7 +437,11 @@ def validate_database(db: UncertainDatabase) -> list[Violation]:
             if item in seen:
                 violations.append(Violation("duplicate item in transaction", tid=tid, item=item))
             seen.add(item)
-            if quantity < 1:
+            if type(quantity) is not int:
+                violations.append(
+                    Violation(f"quantity {quantity} is not an integer", tid=tid, item=item)
+                )
+            elif quantity < 1:
                 violations.append(Violation(f"quantity {quantity} below 1", tid=tid, item=item))
             if not 0.0 < probability <= 1.0:
                 violations.append(

@@ -1,10 +1,12 @@
 import gc
 import math
+import re
 import sys
 
 import pytest
 
 from occumine import (
+    DatabaseValidationError,
     GeneratorConfig,
     ItemOccurrence,
     MissingUtilityError,
@@ -198,35 +200,38 @@ def test_invalid_utf8_names_its_line(data, line, byte):
         assert str(info.value) == f"line {line}: invalid UTF-8 byte {byte}"
 
 
+def _refused(db, message, error=DatabaseValidationError):
+    """``write_database(db)`` raises ``error`` with exactly ``message``."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        write_database(db)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_write_refuses_a_non_finite_unit_utility(value):
     db = build_database([[("a", 1, 0.5)]], {"a": 1.0, "b": value})
-    with pytest.raises(ValueError, match=f"^unit utility {value} of item 'b' cannot be serialized$"):
-        write_database(db)
+    _refused(db, "invalid database: unit utility is not a finite number (item 'b')")
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_write_refuses_a_non_finite_probability(value):
     db = build_database([[("a", 1, 0.5)], [("a", 1, 0.5), ("b", 2, value)]], {"a": 1.0, "b": 1.0})
-    with pytest.raises(
-        ValueError,
-        match=f"^probability {value} of item 'b' in transaction 2 cannot be serialized$",
-    ):
-        write_database(db)
+    _refused(db, f"invalid database: probability {value} outside (0, 1] (tid 2, item 'b')")
 
 
 def test_write_refuses_a_transaction_with_no_item():
     # Its line would be blank, which the parser skips, shifting every later tid.
     db = build_database([[("a", 1, 0.5)], [], [("b", 2, 0.25)]], {"a": 1.0, "b": 1.0})
-    with pytest.raises(ValueError, match="^transaction 2 has no item and cannot be serialized$"):
-        write_database(db)
+    _refused(db, "invalid database: transaction utility is not positive (tid 2)")
 
 
 def test_write_refuses_an_item_id_with_no_unit_utility_entry():
     # The line would read as two tokens, "x" and "y:1:0.5".
     db = UncertainDatabase([Transaction(("x y",), (1,), (0.5,), 1.0)], {})
-    with pytest.raises(ValueError, match="^item id 'x y' cannot be serialized$"):
-        write_database(db)
+    _refused(db, "invalid database: missing utility entry (tid 1, item 'x y')")
+    # With its entry the database is valid, but the format cannot hold the id.
+    db = UncertainDatabase([Transaction(("x y",), (1,), (0.5,), 1.0)], {"x y": 1.0})
+    assert validate_database(db) == []
+    _refused(db, "item id 'x y' cannot be serialized", ValueError)
 
 
 def test_parsed_columns_are_not_gc_tracked(example_db):

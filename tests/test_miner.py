@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import sys
 from collections import Counter
 
@@ -144,8 +145,7 @@ def test_prune_counters_count_what_the_search_drops(bench_db, monkeypatch, strat
     import occumine.miner as miner_module
 
     thresholds = Thresholds(0.03, 0.15, 0.005)
-    min_sup = thresholds.min_support(len(bench_db))
-    min_pro = thresholds.min_probability(len(bench_db)) - TOL
+    min_sup, min_pro, min_uo = thresholds.cutoffs(len(bench_db))
     seen = Counter()
 
     def counting_construct(*args, **kwargs):
@@ -160,7 +160,7 @@ def test_prune_counters_count_what_the_search_drops(bench_db, monkeypatch, strat
 
     def counting_bound(plist, min_sup_count):
         bound = upper_bound(plist, min_sup_count)
-        seen["pruned_bound"] += bound < thresholds.beta - TOL
+        seen["pruned_bound"] += bound < min_uo
         return bound
 
     monkeypatch.setattr(miner_module, "construct", counting_construct)
@@ -369,6 +369,34 @@ def test_underflowing_probabilities_match_oracle():
             assert record.utility_occupancy == pytest.approx(
                 reference.utility_occupancy, abs=1e-6
             )
+
+
+@pytest.mark.parametrize("field", ["gamma", "beta"])
+def test_a_measure_on_its_cutoff_is_reported_by_miner_and_oracle(field):
+    # In the one transaction, {a} has probability 0.25 and occupancy
+    # 1 / (1 + 3) = 0.25, both computed exactly by the miner and the oracle.
+    db = build_database([[("a", 1, 0.25), ("b", 1, 1.0)]], {"a": 1.0, "b": 3.0})
+    position = {"gamma": 1, "beta": 2}[field]
+
+    def at(value):
+        return dataclasses.replace(Thresholds(1.0, 0.01, 0.0), **{field: value})
+
+    def cutoff(value):
+        return at(value).cutoffs(len(db))[position]
+
+    boundary = [0.250000001]
+    assert cutoff(boundary[0]) == 0.25
+    while cutoff(math.nextafter(boundary[-1], 1.0)) == 0.25:
+        boundary.append(math.nextafter(boundary[-1], 1.0))
+    above = math.nextafter(boundary[-1], 1.0)
+    assert cutoff(above) > 0.25
+    for threshold in [*boundary, above]:
+        thresholds = at(threshold)
+        expected = threshold in boundary
+        assert (frozenset("a") in {r.pattern for r in oracle_mine(db, thresholds, 2)}) == expected
+        for strategies in PRESETS.values():
+            patterns = {r.pattern for r in mine(db, thresholds, strategies).patterns}
+            assert (frozenset("a") in patterns) == expected
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from occumine import (
     build_database,
     mine,
     validate_database,
+    write_database,
 )
 from occumine.model import ItemOccurrence, Transaction, TransactionTable, min_support_count
 
@@ -51,6 +53,25 @@ def test_example_db_is_valid(example_db):
 def test_one_bad_value_is_flagged(rows, utilities, expected):
     db = build_database(rows, utilities)
     assert [(v.message, v.tid, v.item) for v in validate_database(db)] == [expected]
+
+
+@pytest.mark.parametrize("quantity", [2.0, 1.5, True])
+def test_a_quantity_that_is_not_an_int_is_flagged(quantity):
+    # The file format holds integer quantities only: "a:2.0:0.5" and
+    # "a:True:0.5" do not parse.
+    db = build_database([[("a", quantity, 0.5)]], {"a": 1.0})
+    message = f"quantity {quantity} is not an integer"
+    assert [(v.message, v.tid, v.item) for v in validate_database(db)] == [(message, 1, "a")]
+    refusal = f"^invalid database: {re.escape(message)} \\(tid 1, item 'a'\\)$"
+    with pytest.raises(DatabaseValidationError, match=refusal):
+        write_database(db)
+    assert db.verdict is None  # the writer records no verdict
+    with pytest.raises(DatabaseValidationError, match=refusal):
+        mine(db, Thresholds(0.5, 0.5, 0.5))
+    db = build_database([[("a", 2, 0.5)]], {"a": 1.0})
+    assert validate_database(db) == []
+    assert write_database(db) == ("a:2:0.5\n", "a 1\n")
+    assert mine(db, Thresholds(0.5, 0.5, 0.5)).patterns
 
 
 def test_validation_error_shows_three_violations_and_counts_the_rest():

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from occumine import (
     PRESETS,
+    DatabaseValidationError,
     GeneratorConfig,
     MissingUtilityError,
     ParseError,
@@ -372,7 +373,7 @@ def test_bound_gate_gathers_ruo_only_below_beta(bench_db, monkeypatch, triple, p
         bench_db, thresholds, PRESETS[preset], on_node=lambda *node: nodes.append(node)
     ).stats
 
-    beta = thresholds.beta - TOL
+    _, _, beta = thresholds.cutoffs(len(bench_db))
     below = [p.items for p, s in nodes if s.occupancy < beta]
     assert reads == Counter(below)
     assert calls == below
@@ -572,6 +573,52 @@ def test_parser_accepts_only_valid_databases(texts):
     except (ParseError, MissingUtilityError):
         return
     assert validate_database(db) == []
+
+
+def _writer_rows(quantities, probabilities, **row):
+    occurrences = st.tuples(
+        st.sampled_from("abc"), st.sampled_from(quantities), st.sampled_from(probabilities)
+    )
+    return st.lists(st.lists(occurrences, max_size=3, **row), min_size=1, max_size=4)
+
+
+def _writer_utilities(values):
+    return st.fixed_dictionaries({item: st.sampled_from(values) for item in "abc"})
+
+
+#: Rows and unit utilities from valid pools alone, or from pools that mix
+#: in invalid values, repeated items and empty rows.
+writer_rows = st.one_of(
+    _writer_rows([1, 3], [0.25, 1.0], min_size=1, unique_by=lambda occurrence: occurrence[0]),
+    _writer_rows([0, 1, 3, 2.0, True], [0.0, 0.25, 1.0, 1.5, math.nan, math.inf]),
+)
+writer_utilities = st.one_of(
+    _writer_utilities([0.0, 2.0]), _writer_utilities([-1.0, 0.0, 2.0, math.nan, math.inf])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(rows=[[("a", 1, 0.0)]], utilities={"a": 2.0})
+@example(rows=[[("a", 1, 1.5)]], utilities={"a": 2.0})
+@example(rows=[[("a", 0, 0.25), ("b", 1, 0.25)]], utilities={"a": 2.0, "b": 2.0})
+@example(rows=[[("a", 1, 0.25), ("a", 3, 0.25)]], utilities={"a": 2.0})
+@example(rows=[[("a", 1, 0.25)]], utilities={"a": 2.0, "b": -1.0})
+@example(rows=[[("a", 1, 0.25)]], utilities={"a": 0.0})
+@given(rows=writer_rows, utilities=writer_utilities)
+def test_writer_refuses_exactly_what_validation_flags(rows, utilities):
+    # The mirror of the parser property: the writer never writes a file
+    # the parser refuses.
+    try:
+        db = build_database(rows, utilities)
+    except ValueError:  # a row whose total utility is not finite
+        assume(False)
+    violations = validate_database(db)
+    if violations:
+        with pytest.raises(DatabaseValidationError) as refused:
+            write_database(db)
+        assert refused.value.violations == violations
+    else:
+        assert parse_database(*write_database(db)) == db
 
 
 UTILITY = "a 1\nb 2.5\nc 0\n"
