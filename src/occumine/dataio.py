@@ -354,7 +354,7 @@ def write_database(db: UncertainDatabase) -> tuple[str, str]:
     if violations:
         raise DatabaseValidationError(violations)
     for item in db.unit_utilities:
-        if not _ITEM_RE.match(item):
+        if not (isinstance(item, str) and _ITEM_RE.match(item)):
             raise ValueError(f"item id {item!r} cannot be serialized")
 
     table = db.transactions

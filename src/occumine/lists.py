@@ -174,10 +174,7 @@ def build_single_item_lists(
 
 
 def construct(
-    xa: PatternList,
-    b: PatternList,
-    min_sup_count: int,
-    join_abort: bool = False,
+    xa: PatternList, b: PatternList, abort_below: int = 0
 ) -> tuple[PatternList, PatternSummary] | None:
     """Extend ``xa`` by the item of the single-item list ``b``.
 
@@ -192,13 +189,12 @@ def construct(
 
     with the b values read from ``b``'s row for that tid; ruo is not
     copied but read through ``rows``, those rows of ``b``.  The joint
-    support is the popcount of ``xa.bits & b.bits``; with ``join_abort``
-    enabled, a joint support below ``min_sup_count`` returns ``None``
-    before any row is built.  Otherwise the full (possibly empty) result
-    is returned, with its summary.
+    support is the popcount of ``xa.bits & b.bits``; one below
+    ``abort_below`` returns ``None`` before any row is built.  Otherwise
+    the full (possibly empty) result is returned, with its summary.
     """
     bits = xa.bits & b.bits
-    if join_abort and bits.bit_count() < min_sup_count:
+    if bits.bit_count() < abort_below:
         return None
     row_of = b.row_of
     hit = list(map(row_of.__contains__, xa.tids))

@@ -6,7 +6,10 @@ ground truth the search is tested against.  It never imports ``lists``,
 or a fault there would show in miner and oracle alike, unseen.  The
 oracle, :func:`oracle_mine`, is an enumeration, :func:`oracle_measures`,
 that measures every itemset with no threshold, then a filter,
-:func:`oracle_filter`, that holds its only threshold comparisons.
+:func:`oracle_filter`, that holds its only threshold comparisons.  The
+enumeration follows the miner's one float evaluation order, so ``mine``
+and ``oracle_mine`` return equal records, floats included; the
+per-pattern functions follow transaction order and agree within ``TOL``.
 
 Measure definitions, for a pattern X over a database D:
 
@@ -166,24 +169,27 @@ def oracle_measures(
 ) -> dict[frozenset[str], tuple[int, float, float]]:
     """(support count, probability, utility occupancy) of every itemset of
     up to ``max_len`` items that some transaction holds, found with no
-    pruning and no threshold, which is the point.  Raises
-    :class:`EnumerationBudgetError`, before any work, if that means
-    examining more than ``budget`` itemsets."""
+    pruning and no threshold, which is the point.  Each is evaluated as the
+    miner's lists do: items in the mining total order; per transaction, the
+    items' shares quantity * unit utility / tu added and their probabilities
+    multiplied left to right; then ``sum(products, 0.0)`` and ``sum(shares)
+    / support`` over ascending tids.  Raises :class:`EnumerationBudgetError`,
+    before any work, if that means examining more than ``budget`` itemsets."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    universe = db.item_universe
-    lengths = range(1, min(max_len, len(universe)) + 1)
+    items = total_order(db).items
+    lengths = range(1, min(max_len, len(items)) + 1)
     examined = 0
     for length in lengths:
-        examined += comb(len(universe), length)
+        examined += comb(len(items), length)
         if examined > budget:
             raise EnumerationBudgetError(budget)
 
-    # item -> {tid: (quantity * unit utility, probability, tu)} over the
+    # item -> {tid: (quantity * unit utility / tu, probability)} over the
     # transactions holding it, in one pass over the occurrence columns.
-    held: dict[str, dict[int, tuple[float, float, float]]] = {item: {} for item in universe}
+    held: dict[str, dict[int, tuple[float, float]]] = {item: {} for item in items}
     table = db.transactions
     for item, quantity, p, tid, tu in zip(
         table.items,
@@ -192,14 +198,12 @@ def oracle_measures(
         table.per_occurrence(range(1, len(table) + 1)),
         table.per_occurrence(table.tu),
     ):
-        held[item][tid] = (quantity * db.unit_utilities[item], p, tu)
-    # Sums run in a tid-set intersection's iteration order; sets built from
-    # ascending tids one at a time make it, and so the sums, reproducible.
-    tid_sets = {item: frozenset(iter(column)) for item, column in held.items()}
+        held[item][tid] = (quantity * db.unit_utilities[item] / tu, p)
+    tid_sets = {item: frozenset(column) for item, column in held.items()}
 
     measures = {}
     for length in lengths:
-        for itemset in combinations(universe, length):
+        for itemset in combinations(items, length):
             tids = tid_sets[itemset[0]]
             for item in itemset[1:]:
                 tids = tids & tid_sets[item]
@@ -208,16 +212,16 @@ def oracle_measures(
             if not tids:
                 continue
             first, *rest = [held[item] for item in itemset]
-            pro = share_sum = 0.0
-            for tid in tids:
-                u, product, tu = first[tid]
+            shares, products = [], []
+            for tid in sorted(tids):
+                share, product = first[tid]
                 for column in rest:
-                    value, p, _ = column[tid]
-                    u += value
+                    value, p = column[tid]
+                    share += value
                     product *= p
-                pro += product
-                share_sum += u / tu
-            measures[frozenset(itemset)] = (len(tids), pro, share_sum / len(tids))
+                shares.append(share)
+                products.append(product)
+            measures[frozenset(itemset)] = (len(tids), sum(products, 0.0), sum(shares) / len(tids))
     return measures
 
 
@@ -229,7 +233,7 @@ def oracle_filter(
     """Records of the itemsets in ``measures`` (:func:`oracle_measures` of
     ``db``) that pass all thresholds, sorted by their id-sorted item tuple,
     with items rendered in the mining total order."""
-    min_sup, min_pro, min_uo = thresholds.cutoffs(len(db))
+    min_sup, min_pro, min_uo, _ = thresholds.cutoffs(len(db))
     order = total_order(db)
     found = [
         PatternRecord(order.sort_pattern(itemset), support, pro, uo)

@@ -82,7 +82,9 @@ def upper_bound(plist: PatternList, min_sup_count: int) -> float:
     uo + ruo there, so the mean of the ``min_sup_count`` largest uo + ruo
     values dominates it.  Lists shorter than the minimum still divide by
     ``min_sup_count``: the missing transactions contribute nothing to any
-    extension's numerator.
+    extension's numerator.  Summed in another order than an extension's
+    occupancy, the bound can land ulps below it in floats, so the search
+    prunes only below ``min_bound`` (:meth:`Thresholds.cutoffs`).
     """
     top = sorted(map(add, plist.uo, plist.ruo), reverse=True)[:min_sup_count]
     return sum(top) / min_sup_count
@@ -98,8 +100,9 @@ def mine(
     """Mine every pattern meeting the support, occupancy, and probability
     thresholds of ``thresholds``.
 
-    The result is independent of ``strategies``; only the traversal cost
-    recorded in the stats changes.  ``on_node``, when given, is called as
+    The records equal :func:`~occumine.measures.oracle_mine`'s, floats
+    included, under every ``strategies``; only the traversal cost recorded
+    in the stats changes.  ``on_node``, when given, is called as
     ``on_node(plist, summary)`` once per visited node, in visit order,
     before the node is emitted or expanded; it changes neither the result
     nor the stats.  A caller that wants a node's :func:`upper_bound`
@@ -118,7 +121,8 @@ def mine(
 
     stats = MiningStats()
     started = time.perf_counter()
-    min_sup, min_pro, beta = thresholds.cutoffs(len(db))
+    min_sup, min_pro, min_uo, min_bound = thresholds.cutoffs(len(db))
+    abort_below = min_sup if strategies.join_abort else 0
 
     # Items below the minimum support can head no qualifying pattern, so
     # they are always dropped.  Items below the probability minimum are
@@ -153,7 +157,7 @@ def mine(
 
         # Roots and children were filtered on this summary's support (and,
         # under probability pruning, probability); emission re-checks.
-        if xa_sum.probability >= min_pro and xa_sum.occupancy >= beta:
+        if xa_sum.probability >= min_pro and xa_sum.occupancy >= min_uo:
             found.append(
                 PatternRecord(
                     items=xa_list.items,
@@ -165,12 +169,12 @@ def mine(
 
         # A visited node has at least min_sup rows and ruo is never
         # negative, so its bound is at least its occupancy: a node whose
-        # occupancy reaches beta cannot be pruned, and its ruo is not
+        # occupancy reaches min_uo cannot be pruned, and its ruo is not
         # gathered.
         if (
             strategies.bound_prune
-            and xa_sum.occupancy < beta
-            and upper_bound(xa_list, min_sup) < beta
+            and xa_sum.occupancy < min_uo
+            and upper_bound(xa_list, min_sup) < min_bound
         ):
             stats.pruned_bound += 1
             continue
@@ -178,12 +182,7 @@ def mine(
         children: list[tuple[PatternList, PatternSummary]] = []
         for xb_list, _ in extensions[index + 1 :]:
             stats.candidate_joins += 1
-            joined = construct(
-                xa_list,
-                singles[xb_list.items[-1]][0],
-                min_sup,
-                join_abort=strategies.join_abort,
-            )
+            joined = construct(xa_list, singles[xb_list.items[-1]][0], abort_below)
             if joined is None:
                 stats.joins_aborted += 1
                 continue

@@ -45,11 +45,12 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 #: The one floating-point tolerance.  A measure clears a threshold ``t``
-#: when ``x >= t - TOL`` (:meth:`Thresholds.cutoffs`), because repeated list
-#: joins accumulate rounding error; :func:`min_support_count` gives the same
-#: slack to the support fraction.  A stored transaction utility must agree
-#: with its left-to-right total (:func:`transaction_utility`) within ``TOL``,
-#: relative: ``abs(total - tu) <= TOL * max(1.0, abs(total))``.
+#: when ``x >= t - TOL`` (:meth:`Thresholds.cutoffs`), because a float sum
+#: can land a few ulps off its exact value; the occupancy bound, another
+#: float sum, prunes only a further ``TOL`` below.  :func:`min_support_count`
+#: gives the support fraction the same slack.  A stored transaction utility
+#: must agree with its left-to-right total (:func:`transaction_utility`)
+#: within ``TOL``, relative: ``abs(total - tu) <= TOL * max(1.0, abs(total))``.
 TOL = 1e-9
 
 
@@ -319,11 +320,13 @@ class Thresholds:
     def min_probability(self, db_size: int) -> float:
         return self.gamma * db_size
 
-    def cutoffs(self, db_size: int) -> tuple[int, float, float]:
-        """The least support, probability and occupancy a reported pattern
-        has in ``db_size`` transactions, ``(min_sup, min_pro, min_uo)``, the
-        float ones less ``TOL``: the one threshold rule of miner and oracle."""
-        return self.min_support(db_size), self.min_probability(db_size) - TOL, self.beta - TOL
+    def cutoffs(self, db_size: int) -> tuple[int, float, float, float]:
+        """``(min_sup, min_pro, min_uo, min_bound)``, the one threshold rule of
+        miner and oracle: a reported pattern's least support, probability and
+        occupancy in ``db_size`` transactions, the float ones less ``TOL``, and
+        the least occupancy bound that keeps a subtree, a further ``TOL`` lower."""
+        min_uo = self.beta - TOL
+        return self.min_support(db_size), self.min_probability(db_size) - TOL, min_uo, min_uo - TOL
 
 
 @dataclass(frozen=True)

@@ -232,6 +232,11 @@ def test_write_refuses_an_item_id_with_no_unit_utility_entry():
     db = UncertainDatabase([Transaction(("x y",), (1,), (0.5,), 1.0)], {"x y": 1.0})
     assert validate_database(db) == []
     _refused(db, "item id 'x y' cannot be serialized", ValueError)
+    # An id that is not a string at all mines, but has no text form either.
+    db = UncertainDatabase([Transaction((5,), (1,), (0.5,), 1.0)], {5: 1.0})
+    assert validate_database(db) == []
+    assert mine(db, Thresholds(1.0, 1.0, 0.0)).patterns[0].items == (5,)
+    _refused(db, "item id 5 cannot be serialized", ValueError)
 
 
 def test_parsed_columns_are_not_gc_tracked(example_db):

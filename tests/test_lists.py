@@ -61,7 +61,7 @@ def test_ruo_columns_are_summed_on_the_first_read(example_db):
     singles = build_single_item_lists(item_columns(example_db, order.items), order)
     lists = [plist for plist, _ in singles.values()]
     assert all(plist.item_ruo == [] for plist in lists)
-    joined, _ = construct(singles["e"][0], singles["a"][0], 1)
+    joined, _ = construct(singles["e"][0], singles["a"][0])
     columns = [plist.item_ruo for plist in lists]
     assert len(joined.ruo) == joined.support
     assert all(len(plist.item_ruo) == plist.support for plist in lists)
@@ -69,7 +69,7 @@ def test_ruo_columns_are_summed_on_the_first_read(example_db):
 
 
 def test_construct_first_level(example_singles):
-    joined = construct(example_singles["e"][0], example_singles["a"][0], 1)
+    joined = construct(example_singles["e"][0], example_singles["a"][0])
     assert joined is not None
     plist, summary = joined
     assert plist.items == ("e", "a")
@@ -81,16 +81,16 @@ def test_construct_first_level(example_singles):
 
 
 def test_construct_probability_sum(example_singles):
-    _, summary = construct(example_singles["b"][0], example_singles["c"][0], 1)
+    _, summary = construct(example_singles["b"][0], example_singles["c"][0])
     assert summary.probability == pytest.approx(1.45, abs=1e-9)
 
 
 def test_join_abort(example_singles):
     e_list = example_singles["e"][0]
     d_list = example_singles["d"][0]
-    assert construct(e_list, d_list, 4, join_abort=True) is None
+    assert construct(e_list, d_list, abort_below=4) is None
     # without the abort the same join completes with its true support
-    joined = construct(e_list, d_list, 4, join_abort=False)
+    joined = construct(e_list, d_list)
     assert joined is not None
     assert joined[0].support == 2
 
@@ -98,10 +98,8 @@ def test_join_abort(example_singles):
 def test_abort_flag_never_changes_contents(example_singles):
     items = list(example_singles)
     for a, b in itertools.combinations(items, 2):
-        plain = construct(example_singles[a][0], example_singles[b][0], 1)
-        aborting = construct(
-            example_singles[a][0], example_singles[b][0], 1, join_abort=True
-        )
+        plain = construct(example_singles[a][0], example_singles[b][0])
+        aborting = construct(example_singles[a][0], example_singles[b][0], abort_below=1)
         # min support 1 can never trigger the abort on non-disjoint lists
         if plain[0].tids:
             assert aborting is not None
@@ -111,7 +109,7 @@ def test_abort_flag_never_changes_contents(example_singles):
 def test_joined_remaining_comes_from_later_operand(example_singles):
     a_list = example_singles["a"][0]
     d_list = example_singles["d"][0]
-    joined, _ = construct(a_list, d_list, 1)
+    joined, _ = construct(a_list, d_list)
     d_ruo = dict(zip(d_list.tids, d_list.ruo))
     for tid, ruo in zip(joined.tids, joined.ruo):
         assert ruo == d_ruo[tid]
@@ -130,7 +128,7 @@ def _chain_lists(db):
             for xb, _ in level[index + 1 :]:
                 if xb.items[:-1] != xa.items[:-1]:
                     continue
-                joined = construct(xa, singles[xb.items[-1]][0], 1)
+                joined = construct(xa, singles[xb.items[-1]][0])
                 if joined and joined[0].tids:
                     next_level.append(joined)
         level = next_level

@@ -145,7 +145,7 @@ def test_prune_counters_count_what_the_search_drops(bench_db, monkeypatch, strat
     import occumine.miner as miner_module
 
     thresholds = Thresholds(0.03, 0.15, 0.005)
-    min_sup, min_pro, min_uo = thresholds.cutoffs(len(bench_db))
+    min_sup, min_pro, _, min_bound = thresholds.cutoffs(len(bench_db))
     seen = Counter()
 
     def counting_construct(*args, **kwargs):
@@ -160,7 +160,7 @@ def test_prune_counters_count_what_the_search_drops(bench_db, monkeypatch, strat
 
     def counting_bound(plist, min_sup_count):
         bound = upper_bound(plist, min_sup_count)
-        seen["pruned_bound"] += bound < min_uo
+        seen["pruned_bound"] += bound < min_bound
         return bound
 
     monkeypatch.setattr(miner_module, "construct", counting_construct)
@@ -335,21 +335,9 @@ def test_mine_matches_oracle(seed):
     db = _small_db(seed)
     for triple in TRIPLES:
         thresholds = Thresholds(*triple)
-        expected = _records_by_pattern(
-            oracle_mine(db, thresholds, max_len=len(db.item_universe))
-        )
+        expected = tuple(oracle_mine(db, thresholds, max_len=len(db.item_universe)))
         for strategies in PRESETS.values():
-            got = _records_by_pattern(mine(db, thresholds, strategies).patterns)
-            assert got.keys() == expected.keys()
-            for pattern, record in got.items():
-                reference = expected[pattern]
-                assert record.support == reference.support
-                assert record.probability == pytest.approx(
-                    reference.probability, abs=1e-6
-                )
-                assert record.utility_occupancy == pytest.approx(
-                    reference.utility_occupancy, abs=1e-6
-                )
+            assert mine(db, thresholds, strategies).patterns == expected
 
 
 def test_underflowing_probabilities_match_oracle():
@@ -357,18 +345,12 @@ def test_underflowing_probabilities_match_oracle():
     row = [(item, 1, 1e-120) for item in "abcde"]
     db = build_database([row] * 3, dict.fromkeys("abcde", 1.0))
     thresholds = Thresholds(0.5, 0.1, 0.0)
-    expected = oracle_mine(db, thresholds, max_len=5)
+    expected = tuple(oracle_mine(db, thresholds, max_len=5))
     assert len(expected) == 31
     for strategies in PRESETS.values():
         got = mine(db, thresholds, strategies).patterns
-        assert [(r.items, r.support) for r in got] == [
-            (r.items, r.support) for r in expected
-        ]
-        for record, reference in zip(got, expected):
-            assert record.probability == pytest.approx(reference.probability, abs=1e-6)
-            assert record.utility_occupancy == pytest.approx(
-                reference.utility_occupancy, abs=1e-6
-            )
+        assert got == expected
+        assert [r.items for r in got] == [r.items for r in expected]  # rendering order
 
 
 @pytest.mark.parametrize("field", ["gamma", "beta"])
@@ -397,6 +379,36 @@ def test_a_measure_on_its_cutoff_is_reported_by_miner_and_oracle(field):
         for strategies in PRESETS.values():
             patterns = {r.pattern for r in mine(db, thresholds, strategies).patterns}
             assert (frozenset("a") in patterns) == expected
+
+
+#: Databases with a measure on its cut-off, as (transactions, utilities,
+#: alpha, beta, gamma).  In the first, {b, c} has occupancy 9/11: dividing
+#: the summed utility gives beta - TOL, and adding the items' shares in
+#: mining order gives one ulp less.  In the second, {b, c, d, e, f} has
+#: occupancy 89/101 = beta - TOL, and the occupancy bound of its prefixes,
+#: another float sum, lands a few ulps below it.
+BOUNDARY_DATABASES = [
+    ("d:1:1 c:1:1 b:2:1\nd:3:1 b:1:1\n", "a 3\nb 2\nc 5\nd 2\n", 0.5, 0.8181818191818182, 0.0),
+    (
+        "e:5:0.1 a:4:0.9 c:5:0.1 f:4:0.3 b:4:0.9 d:1:0.5\n",
+        "a 3\nb 6\nc 1\nd 8\ne 8\nf 3\n",
+        1.0,
+        0.8811881198118812,
+        0.0,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "data, utility, alpha, beta, gamma", BOUNDARY_DATABASES, ids=["two_lines", "one_line"]
+)
+def test_mine_equals_oracle_on_a_measure_at_its_cutoff(data, utility, alpha, beta, gamma):
+    db = parse_database(data, utility)
+    thresholds = Thresholds(alpha, beta, gamma)
+    expected = tuple(oracle_mine(db, thresholds, max_len=6))
+    assert expected
+    for strategies in PRESETS.values():
+        assert mine(db, thresholds, strategies).patterns == expected
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -106,20 +106,37 @@ thresholds = st.builds(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(db=databases(), th=thresholds)
-def test_mine_equals_oracle_under_every_preset(db, th):
-    expected = {r.pattern: r for r in oracle_mine(db, th, max_len=len(ITEMS))}
+@st.composite
+def boundary_thresholds(draw, db):
+    """The measures of one itemset of ``db`` as thresholds, each moved by up
+    to 3 ulps: alpha at its support / |D|, beta at its occupancy + TOL and
+    gamma at (its probability + TOL) / |D|, or 0, so each cut-off lands on
+    or next to the itemset's measure."""
+    measures = oracle_measures(db, max_len=len(ITEMS))
+    # A longer itemset's measures are sums of more terms, so more prone to
+    # land an ulp apart in two evaluation orders.
+    longer = [m for itemset, m in measures.items() if len(itemset) > 1]
+    support, pro, uo = draw(st.sampled_from(longer or list(measures.values())))
+
+    def near(value):
+        steps = draw(st.integers(min_value=-3, max_value=3))
+        for _ in range(abs(steps)):
+            value = math.nextafter(value, math.copysign(math.inf, steps))
+        return min(value, 1.0)
+
+    gamma = near((pro + TOL) / len(db)) if draw(st.booleans()) else 0.0
+    return Thresholds(near(support / len(db)), near(uo + TOL), gamma)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(db=databases(), data=st.data())
+def test_mine_equals_oracle_under_every_preset(db, data):
+    # Record equality compares the floats exactly: the miner and the oracle
+    # evaluate each measure in one order, so they agree even on a cut-off.
+    th = data.draw(thresholds | boundary_thresholds(db), label="thresholds")
+    expected = tuple(oracle_mine(db, th, max_len=len(ITEMS)))
     for strategies in PRESETS.values():
-        got = {r.pattern: r for r in mine(db, th, strategies).patterns}
-        assert got.keys() == expected.keys()
-        for pattern, record in got.items():
-            reference = expected[pattern]
-            assert record.support == reference.support
-            assert record.probability == pytest.approx(reference.probability, abs=1e-6)
-            assert record.utility_occupancy == pytest.approx(
-                reference.utility_occupancy, abs=1e-6
-            )
+        assert mine(db, th, strategies).patterns == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -152,7 +169,7 @@ def test_bound_is_at_least_the_list_mean(db, k):
                 assert summary.occupancy + remaining <= upper_bound(plist, k) + TOL
             if summary.support:
                 later = order.items[order.rank[plist.items[-1]] + 1 :]
-                deeper += [construct(plist, singles[item][0], k) for item in later]
+                deeper += [construct(plist, singles[item][0]) for item in later]
         level = deeper
 
 
@@ -373,7 +390,7 @@ def test_bound_gate_gathers_ruo_only_below_beta(bench_db, monkeypatch, triple, p
         bench_db, thresholds, PRESETS[preset], on_node=lambda *node: nodes.append(node)
     ).stats
 
-    _, _, beta = thresholds.cutoffs(len(bench_db))
+    _, _, beta, _ = thresholds.cutoffs(len(bench_db))
     below = [p.items for p, s in nodes if s.occupancy < beta]
     assert reads == Counter(below)
     assert calls == below
