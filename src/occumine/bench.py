@@ -35,7 +35,6 @@ CSV_COLUMNS = [
     "pruned_support",
     "pruned_probability",
     "pruned_bound",
-    "joins_aborted",
 ]
 
 

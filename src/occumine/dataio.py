@@ -187,7 +187,7 @@ def _parse_tokens(numbered_lines, utilities: dict[str, float]) -> _Block:
                     column,
                 )
             if not known:
-                raise MissingUtilityError(item, number)
+                raise MissingUtilityError(item, number, column)
             items.append(item)
             quantities.append(quantity)
             probabilities.append(prob)

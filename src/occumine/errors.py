@@ -20,12 +20,18 @@ class ParseError(OccumineError):
 
 
 class MissingUtilityError(OccumineError):
-    """An item occurs in the data but has no unit-utility entry."""
+    """An item occurs in the data but has no unit-utility entry.
 
-    def __init__(self, item: str, line: int | None = None):
+    Carries, when raised by the parser, the 1-based line number and
+    column of the item's token.
+    """
+
+    def __init__(self, item: str, line: int | None = None, column: int | None = None):
         self.item = item
         self.line = line
-        suffix = "" if line is None else f" (line {line})"
+        self.column = column
+        where = ", ".join(f"{name} {at}" for name, at in (("line", line), ("column", column)) if at)
+        suffix = f" ({where})" if where else ""
         super().__init__(f"no unit utility defined for item {item!r}{suffix}")
 
 

@@ -5,25 +5,24 @@ when it was built, then reads the occurrences of the items with the
 minimum support once, into the columns every single-item list is filled
 from.  The search keeps a vertical list per visited node and extends a
 node by joining its list with the single-item list of each
-later sibling's last item.  Support pruning is always on: a node (and its
-subtree) whose support count is below the minimum is never visited,
-which is sound because support is anti-monotone.  Three more pruning
-strategies are switchable; they only change how much of the tree is
-traversed, never which patterns come out, because every emission
-re-checks the probability and occupancy thresholds.
+later sibling's last item.  Support pruning is always on: a join whose
+joint support, counted on the tid bitsets, is below the minimum builds
+no rows, so a node (and its subtree) below the minimum is never
+visited, which is sound because support is anti-monotone.  Two more
+pruning strategies are switchable; they only change how much of the
+tree is traversed, never which patterns come out, because every
+emission re-checks the probability and occupancy thresholds.
 
 * occupancy-bound pruning: skip a node's subtree when an upper bound on
   any qualifying descendant's utility occupancy falls below the minimum.
 * probability pruning: skip a node's subtree when its summed probability
   is below the minimum, sound by the same anti-monotonicity argument.
-* join abort: skip a list join whose joint support, counted on the tid
-  bitsets before any row is built, is below the minimum.
 
 The search is one loop inside :func:`mine` over an explicit stack of
 sibling frames, so no recursion limit caps its depth.  It counts in
-:class:`MiningStats` what it drops, by reason: a child below the support
-or the probability minimum, a node cut by the occupancy bound, and an
-aborted join.  Only :func:`upper_bound` reads a node's remaining
+:class:`MiningStats` what it drops, by reason: a join below the support
+minimum, a child below the probability minimum, and a node cut by the
+occupancy bound.  Only :func:`upper_bound` reads a node's remaining
 utility, once per call, and the search calls it only for a node whose
 occupancy is below the minimum, so under a preset without the bound no
 ruo is gathered.  The search calls ``construct``, ``upper_bound`` and the
@@ -47,21 +46,20 @@ from .model import MiningStats, PatternRecord, Thresholds, UncertainDatabase, va
 @dataclass(frozen=True)
 class StrategySet:
     """Which pruning strategies a run may use, besides support pruning,
-    which every run uses."""
+    which every run uses; its four values are the four presets."""
 
     bound_prune: bool = True
     probability_prune: bool = True
-    join_abort: bool = True
 
 
 #: Every strategy on: the full algorithm.
-FULL = StrategySet(True, True, True)
+FULL = StrategySet(True, True)
 #: Support and occupancy-bound pruning only.
-S12 = StrategySet(True, False, False)
+S12 = StrategySet(True, False)
 #: Support and probability pruning only.
-S13 = StrategySet(False, True, False)
+S13 = StrategySet(False, True)
 #: Support pruning only.
-S1 = StrategySet(False, False, False)
+S1 = StrategySet(False, False)
 
 PRESETS: dict[str, StrategySet] = {"full": FULL, "s12": S12, "s13": S13, "s1": S1}
 
@@ -122,7 +120,6 @@ def mine(
     stats = MiningStats()
     started = time.perf_counter()
     min_sup, min_pro, min_uo, min_bound = thresholds.cutoffs(len(db))
-    abort_below = min_sup if strategies.join_abort else 0
 
     # Items below the minimum support can head no qualifying pattern, so
     # they are always dropped.  Items below the probability minimum are
@@ -182,19 +179,12 @@ def mine(
         children: list[tuple[PatternList, PatternSummary]] = []
         for xb_list, _ in extensions[index + 1 :]:
             stats.candidate_joins += 1
-            joined = construct(xa_list, singles[xb_list.items[-1]][0], abort_below)
+            joined = construct(xa_list, singles[xb_list.items[-1]][0], min_sup)
             if joined is None:
-                stats.joins_aborted += 1
-                continue
-            child_list, child_sum = joined
-            if not child_list.tids:
                 stats.pruned_support += 1
                 continue
             stats.constructed_lists += 1
-            if child_sum.support < min_sup:
-                stats.pruned_support += 1
-                continue
-            if strategies.probability_prune and child_sum.probability < min_pro:
+            if strategies.probability_prune and joined[1].probability < min_pro:
                 stats.pruned_probability += 1
                 continue
             children.append(joined)

@@ -47,20 +47,11 @@ from typing import Iterable, Iterator, Mapping
 #: The one floating-point tolerance.  A measure clears a threshold ``t``
 #: when ``x >= t - TOL`` (:meth:`Thresholds.cutoffs`), because a float sum
 #: can land a few ulps off its exact value; the occupancy bound, another
-#: float sum, prunes only a further ``TOL`` below.  :func:`min_support_count`
+#: float sum, prunes only a further ``TOL`` below.  :meth:`Thresholds.min_support`
 #: gives the support fraction the same slack.  A stored transaction utility
 #: must agree with its left-to-right total (:func:`transaction_utility`)
 #: within ``TOL``, relative: ``abs(total - tu) <= TOL * max(1.0, abs(total))``.
 TOL = 1e-9
-
-
-def min_support_count(alpha: float, db_size: int) -> int:
-    """Smallest integer support satisfying the fraction ``alpha`` of ``db_size``.
-
-    ceil(alpha * db_size), never below 1.  The small negative slack keeps
-    products like 0.3 * 10 from ceiling to 4.
-    """
-    return max(1, math.ceil(alpha * db_size - TOL))
 
 
 def _spans(ends: Sequence[int]) -> Iterator[slice]:
@@ -315,7 +306,12 @@ class Thresholds:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
 
     def min_support(self, db_size: int) -> int:
-        return min_support_count(self.alpha, db_size)
+        """Smallest integer support satisfying the fraction ``alpha`` of ``db_size``.
+
+        ceil(alpha * db_size), never below 1.  The small negative slack keeps
+        products like 0.3 * 10 from ceiling to 4.
+        """
+        return max(1, math.ceil(self.alpha * db_size - TOL))
 
     def min_probability(self, db_size: int) -> float:
         return self.gamma * db_size
@@ -368,12 +364,12 @@ class PatternRecord:
 class MiningStats:
     """Instrumentation counters for one mining run.
 
-    The prune counts are taken in the search: ``pruned_support`` and
-    ``pruned_probability`` count joined children dropped below the support
-    (an empty join included) or the probability minimum,
-    ``pruned_bound`` counts nodes whose subtree the occupancy bound cut,
-    and ``joins_aborted`` counts joins the tid bitsets stopped before any
-    row was built.  The field order is :meth:`as_dict`'s and ``--stats``'s.
+    The prune counts are taken in the search: ``pruned_support`` counts
+    joins the tid bitsets stopped below the support minimum before any row
+    was built (an empty join included), ``pruned_probability`` counts
+    joined children dropped below the probability minimum, and
+    ``pruned_bound`` counts nodes whose subtree the occupancy bound cut.
+    The field order is :meth:`as_dict`'s and ``--stats``'s.
     """
 
     visited_nodes: int = 0
@@ -384,7 +380,6 @@ class MiningStats:
     pruned_support: int = 0
     pruned_probability: int = 0
     pruned_bound: int = 0
-    joins_aborted: int = 0
 
     def as_dict(self) -> dict[str, float]:
         """Every field in order, ``elapsed_seconds`` given as ``elapsed_ms``."""

@@ -70,7 +70,7 @@ def test_mine_writes_output_and_stats_files(tmp_path, capsys):
     # The counters in README's order.
     assert list(stats) == [
         "visited_nodes", "constructed_lists", "candidate_joins", "patterns_found", "elapsed_ms",
-        "pruned_support", "pruned_probability", "pruned_bound", "joins_aborted",
+        "pruned_support", "pruned_probability", "pruned_bound",
     ]
 
 
@@ -245,8 +245,8 @@ def test_bench_inline(capsys, example_db):
     assert code == 0
     rows = list(csv.DictReader(out.splitlines()))
     assert len(rows) == 12
-    assert list(rows[0])[-5:] == [
-        "patterns", "pruned_support", "pruned_probability", "pruned_bound", "joins_aborted"
+    assert list(rows[0])[-4:] == [
+        "patterns", "pruned_support", "pruned_probability", "pruned_bound"
     ]
     for row in rows:
         thresholds = Thresholds(float(row["alpha"]), float(row["beta"]), float(row["gamma"]))
@@ -258,7 +258,6 @@ def test_bench_inline(capsys, example_db):
             "pruned_support": stats.pruned_support,
             "pruned_probability": stats.pruned_probability,
             "pruned_bound": stats.pruned_bound,
-            "joins_aborted": stats.joins_aborted,
         }
         assert {column: int(row[column]) for column in expected} == expected
     # pattern counts are identical across presets at each sweep point

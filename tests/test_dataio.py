@@ -166,9 +166,14 @@ def test_total_utility_is_summed_left_to_right():
 
 
 def test_unknown_item_raises_missing_utility():
-    with pytest.raises(MissingUtilityError) as info:
-        parse_database("q:1:0.5\n", UTILITY_TEXT)
-    assert info.value.item == "q"
+    # The error names the line and column of the item's token, the first
+    # token or a later one, on a line after a comment.
+    for data, line, column in (("q:1:0.5\n", 1, 1), ("a:1:0.5\n# note\na:1:0.5 q:1:0.5\n", 3, 9)):
+        with pytest.raises(MissingUtilityError) as info:
+            parse_database(data, UTILITY_TEXT)
+        assert info.value.item == "q"
+        assert (info.value.line, info.value.column) == (line, column)
+        assert str(info.value).endswith(f"(line {line}, column {column})")
 
 
 def test_invalid_unknown_item_is_a_parse_error_at_its_column():

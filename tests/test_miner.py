@@ -13,6 +13,7 @@ from occumine import (
     S13,
     DatabaseValidationError,
     GeneratorConfig,
+    StrategySet,
     Thresholds,
     build_database,
     generate,
@@ -135,7 +136,7 @@ def test_ruo_columns_are_summed_only_in_a_run_that_reads_them(bench_db):
         assert all(len(plist.item_ruo) == (plist.support if read else 0) for plist in roots)
 
 
-PRUNE_COUNTERS = ("pruned_support", "pruned_probability", "pruned_bound", "joins_aborted")
+PRUNE_COUNTERS = ("pruned_support", "pruned_probability", "pruned_bound")
 
 
 @pytest.mark.parametrize("strategies", list(PRESETS.values()), ids=list(PRESETS))
@@ -145,14 +146,12 @@ def test_prune_counters_count_what_the_search_drops(bench_db, monkeypatch, strat
     import occumine.miner as miner_module
 
     thresholds = Thresholds(0.03, 0.15, 0.005)
-    min_sup, min_pro, _, min_bound = thresholds.cutoffs(len(bench_db))
+    _, min_pro, _, min_bound = thresholds.cutoffs(len(bench_db))
     seen = Counter()
 
     def counting_construct(*args, **kwargs):
         joined = construct(*args, **kwargs)
         if joined is None:
-            seen["joins_aborted"] += 1
-        elif joined[1].support < min_sup:
             seen["pruned_support"] += 1
         elif strategies.probability_prune and joined[1].probability < min_pro:
             seen["pruned_probability"] += 1
@@ -169,13 +168,15 @@ def test_prune_counters_count_what_the_search_drops(bench_db, monkeypatch, strat
     assert {name: getattr(stats, name) for name in PRUNE_COUNTERS} == {
         name: seen[name] for name in PRUNE_COUNTERS
     }
-    assert list(stats.as_dict())[-4:] == list(PRUNE_COUNTERS)
+    assert list(stats.as_dict())[-3:] == list(PRUNE_COUNTERS)
     # Each reason the preset allows is exercised, so the equality means
-    # something; a join abort leaves no join below the support minimum.
-    assert bool(stats.pruned_support) != strategies.join_abort
+    # something.
+    assert stats.pruned_support > 0
     assert bool(stats.pruned_probability) == strategies.probability_prune
     assert bool(stats.pruned_bound) == strategies.bound_prune
-    assert bool(stats.joins_aborted) == strategies.join_abort
+    # Every join the bitsets let through is built, and only a list below
+    # the probability minimum is built and not visited.
+    assert stats.constructed_lists == stats.visited_nodes + stats.pruned_probability
 
 
 def test_search_depth_is_not_capped_by_the_recursion_limit():
@@ -239,11 +240,13 @@ def test_probability_pruning_drops_subtree(example_db):
 def test_strategy_presets():
     assert PRESETS["full"] == FULL
     assert FULL.bound_prune
-    assert FULL.probability_prune and FULL.join_abort
+    assert FULL.probability_prune
     assert S12 == PRESETS["s12"]
-    assert (S12.bound_prune, S12.probability_prune, S12.join_abort) == (True, False, False)
-    assert (S13.bound_prune, S13.probability_prune, S13.join_abort) == (False, True, False)
-    assert (S1.bound_prune, S1.probability_prune, S1.join_abort) == (False, False, False)
+    assert (S12.bound_prune, S12.probability_prune) == (True, False)
+    assert (S13.bound_prune, S13.probability_prune) == (False, True)
+    assert (S1.bound_prune, S1.probability_prune) == (False, False)
+    flags = (True, False)
+    assert set(PRESETS.values()) == {StrategySet(b, p) for b in flags for p in flags}
 
 
 def test_mine_rejects_invalid_database(example_db):

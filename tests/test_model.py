@@ -16,7 +16,7 @@ from occumine import (
     validate_database,
     write_database,
 )
-from occumine.model import ItemOccurrence, Transaction, TransactionTable, min_support_count
+from occumine.model import ItemOccurrence, Transaction, TransactionTable
 
 EXPECTED_TU = [65, 37, 38, 11, 49, 58, 23, 61, 59, 42]
 
@@ -251,7 +251,7 @@ def test_threshold_ranges(alpha, beta, gamma):
     ],
 )
 def test_min_support_count(alpha, size, expected):
-    assert min_support_count(alpha, size) == expected
+    assert Thresholds(alpha, 1.0, 0.0).min_support(size) == expected
 
 
 def test_thresholds_derived_values():
