@@ -20,7 +20,8 @@ A pattern's remaining utility share in a transaction is its last item's,
 so a joined list copies no ruo column: it keeps ``rows``, its rows in the
 single-item list of its last item, and reads ruo through them.  Only the
 occupancy bound reads ruo, so a run that never bounds never sums or
-gathers it.
+gathers it.  A list that is never joined or bounded again can be built
+summary-only: the join sums its rows and keeps no column.
 """
 
 from __future__ import annotations
@@ -43,19 +44,23 @@ class PatternList:
     ``item_ruo`` is the ruo column of the single-item list of
     ``items[-1]``: a single-item list's own, with ``rows`` of ``None``.
     A joined list's ``rows`` holds, per tid, its row in that single-item
-    list, and ``ruo`` reads through them.  ``fill_ruo``, when set, fills
-    every ``item_ruo`` of the single-item lists built with this one, in
-    place, the first time it is called; ``ruo`` calls it before reading.
+    list, and ``ruo`` reads through them.  A summary-only list, from
+    ``construct(..., summary_only=True)``, holds ``items``, ``tids`` and
+    ``bits`` alone: its ``pro``, ``uo``, ``item_ruo`` and ``rows`` are
+    ``None``, so ``ruo`` is ``None`` too, and it cannot be joined.
+    ``fill_ruo``, when set, fills every ``item_ruo`` of the single-item
+    lists built with this one, in place, the first time it is called;
+    ``ruo`` calls it before reading.
     The columns are shared between lists and must not be mutated
     otherwise.
     """
 
     items: tuple[str, ...]
     tids: list[int]
-    pro: list[float]
-    uo: list[float]
+    pro: list[float] | None
+    uo: list[float] | None
     bits: int
-    item_ruo: list[float]
+    item_ruo: list[float] | None
     rows: list[int] | None = None
     fill_ruo: Callable[[], None] | None = field(default=None, repr=False, compare=False)
     _row_of: dict[int, int] | None = field(default=None, init=False, repr=False, compare=False)
@@ -65,7 +70,7 @@ class PatternList:
         return len(self.tids)
 
     @property
-    def ruo(self) -> list[float]:
+    def ruo(self) -> list[float] | None:
         """The remaining utility share per tid, gathered on each read for a
         joined list."""
         if self.fill_ruo is not None:
@@ -174,7 +179,7 @@ def build_single_item_lists(
 
 
 def construct(
-    xa: PatternList, b: PatternList, abort_below: int = 0
+    xa: PatternList, b: PatternList, abort_below: int = 0, *, summary_only: bool = False
 ) -> tuple[PatternList, PatternSummary] | None:
     """Extend ``xa`` by the item of the single-item list ``b``.
 
@@ -192,6 +197,11 @@ def construct(
     support is the popcount of ``xa.bits & b.bits``; one below
     ``abort_below`` returns ``None`` before any row is built.  Otherwise
     the full (possibly empty) result is returned, with its summary.
+
+    With ``summary_only`` the pro and uo rows are summed as they are made,
+    in the same order, so the summary is bit-identical, and no column is
+    kept: the list holds only ``items``, ``tids`` and ``bits`` (see
+    :class:`PatternList`), for a pattern that is never joined or bounded.
     """
     bits = xa.bits & b.bits
     if bits.bit_count() < abort_below:
@@ -200,8 +210,12 @@ def construct(
     hit = list(map(row_of.__contains__, xa.tids))
     tids = list(compress(xa.tids, hit))
     rows = list(map(row_of.__getitem__, tids))
-    pro = list(map(mul, compress(xa.pro, hit), map(b.pro.__getitem__, rows)))
-    uo = list(map(add, compress(xa.uo, hit), map(b.uo.__getitem__, rows)))
-    plist = PatternList(xa.items + b.items, tids, pro, uo, bits, b.item_ruo, rows, b.fill_ruo)
+    pro = map(mul, compress(xa.pro, hit), map(b.pro.__getitem__, rows))
+    uo = map(add, compress(xa.uo, hit), map(b.uo.__getitem__, rows))
+    if summary_only:
+        plist = PatternList(xa.items + b.items, tids, None, None, bits, None)
+    else:
+        pro, uo = list(pro), list(uo)
+        plist = PatternList(xa.items + b.items, tids, pro, uo, bits, b.item_ruo, rows, b.fill_ruo)
     n = len(tids)
     return plist, PatternSummary(n, sum(pro, 0.0), sum(uo) / n if n else 0.0)

@@ -21,13 +21,16 @@ emission re-checks the probability and occupancy thresholds.
 The search is one loop inside :func:`mine` over an explicit stack of
 sibling frames, so no recursion limit caps its depth.  It counts in
 :class:`MiningStats` what it drops, by reason: a join below the support
-minimum, a child below the probability minimum, and a node cut by the
-occupancy bound.  Only :func:`upper_bound` reads a node's remaining
-utility, once per call, and the search calls it only for a node whose
-occupancy is below the minimum, so under a preset without the bound no
-ruo is gathered.  The search calls ``construct``, ``upper_bound`` and the
-set-up functions through this module's globals, so a wrapper set on one
-of those names sees every call.
+minimum, a child below the probability minimum, and a node whose subtree
+the occupancy bound cut.  Only :func:`upper_bound` reads a node's
+remaining utility, once per call, and the search calls it only for a
+node whose occupancy is below the minimum and that has a later sibling
+(the last node of a frame has nothing to join), so under a preset
+without the bound no ruo is gathered.  That last node is never joined
+either, so it is built summary-only, with no columns.  The search calls
+``construct``, ``upper_bound`` and the set-up functions through this
+module's globals, so a wrapper set on one of those names sees every
+call.
 """
 
 from __future__ import annotations
@@ -103,8 +106,9 @@ def mine(
     in the stats changes.  ``on_node``, when given, is called as
     ``on_node(plist, summary)`` once per visited node, in visit order,
     before the node is emitted or expanded; it changes neither the result
-    nor the stats.  A caller that wants a node's :func:`upper_bound`
-    computes it in the hook.
+    nor the stats.  Every list it is given is built in full, although a
+    plain run builds the last node of a frame summary-only.  A caller
+    that wants a node's :func:`upper_bound` computes it in the hook.
 
     Raises :class:`DatabaseValidationError` if ``db`` is invalid.  The
     check runs only while ``db`` has no verdict recorded, and its result
@@ -164,22 +168,30 @@ def mine(
                 )
             )
 
-        # A visited node has at least min_sup rows and ruo is never
-        # negative, so its bound is at least its occupancy: a node whose
-        # occupancy reaches min_uo cannot be pruned, and its ruo is not
-        # gathered.
+        # The last node of a frame has no later sibling to join, so no
+        # subtree to cut.  A visited node has at least min_sup rows and ruo
+        # is never negative, so its bound is at least its occupancy: a node
+        # whose occupancy reaches min_uo cannot be pruned, and its ruo is
+        # not gathered.
         if (
             strategies.bound_prune
+            and index + 1 < len(extensions)
             and xa_sum.occupancy < min_uo
             and upper_bound(xa_list, min_sup) < min_bound
         ):
             stats.pruned_bound += 1
             continue
 
+        # Joined from the last candidate back: until one child survives,
+        # each would be the last of its frame, never joined or bounded, so
+        # it is built summary-only unless the hook is to see it.
         children: list[tuple[PatternList, PatternSummary]] = []
-        for xb_list, _ in extensions[index + 1 :]:
+        summary_only = on_node is None
+        for xb_list, _ in reversed(extensions[index + 1 :]):
             stats.candidate_joins += 1
-            joined = construct(xa_list, singles[xb_list.items[-1]][0], min_sup)
+            joined = construct(
+                xa_list, singles[xb_list.items[-1]][0], min_sup, summary_only=summary_only
+            )
             if joined is None:
                 stats.pruned_support += 1
                 continue
@@ -188,7 +200,9 @@ def mine(
                 stats.pruned_probability += 1
                 continue
             children.append(joined)
+            summary_only = False
         if children:
+            children.reverse()
             stack.append([children, 0])
 
     patterns = tuple(sorted(found, key=PatternRecord.sort_key))

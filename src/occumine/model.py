@@ -368,7 +368,9 @@ class MiningStats:
     joins the tid bitsets stopped below the support minimum before any row
     was built (an empty join included), ``pruned_probability`` counts
     joined children dropped below the probability minimum, and
-    ``pruned_bound`` counts nodes whose subtree the occupancy bound cut.
+    ``pruned_bound`` counts nodes whose subtree the occupancy bound cut;
+    the search bounds only a node with a later sibling, so every cut
+    subtree has candidate joins.
     The field order is :meth:`as_dict`'s and ``--stats``'s.
     """
 

@@ -125,6 +125,36 @@ def test_on_node_hook_changes_no_counter_and_no_bound_call(bench_db, monkeypatch
         assert plain_calls  # the bound is exercised, so "no extra call" means something
 
 
+@pytest.mark.parametrize("strategies", list(PRESETS.values()), ids=list(PRESETS))
+def test_on_node_hook_sees_every_list_in_full(bench_db, monkeypatch, strategies):
+    # A plain run builds the last child of a frame summary-only; a hooked
+    # run builds every list in full, so the hook can read any column.
+    import occumine.miner as miner_module
+
+    summary_only = Counter()
+
+    def counting_construct(*args, **kwargs):
+        summary_only[kwargs.get("summary_only", False)] += 1
+        return construct(*args, **kwargs)
+
+    monkeypatch.setattr(miner_module, "construct", counting_construct)
+    thresholds = Thresholds(0.05, 0.1, 0.02)
+    mine(bench_db, thresholds, strategies)
+    assert summary_only[True] > 0
+    summary_only.clear()
+    sizes = []
+    mine(
+        bench_db,
+        thresholds,
+        strategies,
+        on_node=lambda plist, summary: sizes.append(
+            (len(plist.pro), len(plist.uo), len(plist.ruo), summary.support)
+        ),
+    )
+    assert summary_only[True] == 0
+    assert sizes and all(len(set(size)) == 1 for size in sizes)
+
+
 def test_ruo_columns_are_summed_only_in_a_run_that_reads_them(bench_db):
     # s13 never bounds; under full this triple calls the bound twice.
     thresholds = Thresholds(0.05, 0.1, 0.02)

@@ -174,6 +174,37 @@ def test_bound_is_at_least_the_list_mean(db, k):
 
 
 @settings(max_examples=150, deadline=None)
+@given(db=databases(), k=st.integers(min_value=0, max_value=8))
+def test_summary_only_join_equals_the_full_join(db, k):
+    # The search joins a leaf for its summary alone: the bitset gate, the
+    # tids and every summary float must be the full join's, to the bit.
+    order = total_order(db)
+    singles = build_single_item_lists(item_columns(db, order.items), order)
+    level = [plist for plist, _ in singles.values()]
+    while level:
+        deeper = []
+        for xa in level:
+            for item in order.items[order.rank[xa.items[-1]] + 1 :]:
+                b = singles[item][0]
+                full = construct(xa, b, k)
+                leaf = construct(xa, b, k, summary_only=True)
+                assert (leaf is None) == (full is None)
+                if full is None:
+                    continue
+                (leaf_list, leaf_sum), (full_list, full_sum) = leaf, full
+                assert (leaf_list.items, leaf_list.tids, leaf_list.bits) == (
+                    full_list.items, full_list.tids, full_list.bits
+                )
+                assert leaf_list.pro is leaf_list.uo is leaf_list.rows is None
+                assert leaf_sum.support == full_sum.support == leaf_list.support
+                assert leaf_sum.probability.hex() == full_sum.probability.hex()
+                assert leaf_sum.occupancy.hex() == full_sum.occupancy.hex()
+                if full_sum.support:
+                    deeper.append(full_list)
+        level = deeper
+
+
+@settings(max_examples=150, deadline=None)
 @given(db=databases(), th=thresholds)
 def test_values_read_on_demand_at_every_node(db, th):
     # A joined list reads ruo through its rows; under s1 and s13 the search
@@ -358,20 +389,22 @@ def test_bound_gate_keeps_the_search(bench_db, triple, preset):
 
 
 #: ``(upper_bound calls, pruned_bound)`` of ``mine(bench_db, ...)``: one call
-#: per visited node whose occupancy is below beta.
+#: per visited node whose occupancy is below beta and that has a later
+#: visited sibling.
 BOUND_COUNTS = {
-    ((0.05, 0.1, 0.02), "full"): (35, 0),
-    ((0.05, 0.1, 0.02), "s12"): (49, 2),
-    ((0.03, 0.2, 0.0), "full"): (661, 163),
-    ((0.03, 0.2, 0.0), "s12"): (661, 163),
+    ((0.05, 0.1, 0.02), "full"): (33, 0),
+    ((0.05, 0.1, 0.02), "s12"): (42, 0),
+    ((0.03, 0.2, 0.0), "full"): (425, 71),
+    ((0.03, 0.2, 0.0), "s12"): (425, 71),
 }
 
 
 @pytest.mark.parametrize("triple,preset", BOUND_COUNTS)
 def test_bound_gate_gathers_ruo_only_below_beta(bench_db, monkeypatch, triple, preset):
     # A node whose occupancy reaches beta cannot be pruned, since ruo is
-    # never negative, so the gate calls upper_bound, the one reader of ruo,
-    # only below beta.
+    # never negative, and the last node of a frame has no subtree to cut,
+    # so the gate calls upper_bound, the one reader of ruo, only below beta
+    # at a node with a later sibling.
     import occumine.miner as miner_module
     from occumine.lists import PatternList
 
@@ -393,7 +426,10 @@ def test_bound_gate_gathers_ruo_only_below_beta(bench_db, monkeypatch, triple, p
     ).stats
 
     _, _, beta, _ = thresholds.cutoffs(len(bench_db))
-    below = [p.items for p, s in nodes if s.occupancy < beta]
+    # Siblings share items[:-1], so a node is last in its frame when no
+    # later visited node has its prefix.
+    last = {p.items[:-1]: p.items for p, _ in nodes}
+    below = [p.items for p, s in nodes if s.occupancy < beta and last[p.items[:-1]] != p.items]
     assert reads == Counter(below)
     assert calls == below
     assert (len(calls), stats.pruned_bound) == BOUND_COUNTS[triple, preset]
