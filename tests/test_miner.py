@@ -156,7 +156,7 @@ def test_on_node_hook_sees_every_list_in_full(bench_db, monkeypatch, strategies)
 
 
 def test_ruo_columns_are_summed_only_in_a_run_that_reads_them(bench_db):
-    # s13 never bounds; under full this triple calls the bound twice.
+    # s13 never bounds; under full this triple calls the bound 33 times.
     thresholds = Thresholds(0.05, 0.1, 0.02)
     for strategies, read in ((S13, False), (FULL, True)):
         roots = []
