@@ -204,7 +204,8 @@ def construct(
     :class:`PatternList`), for a pattern that is never joined or bounded.
     """
     bits = xa.bits & b.bits
-    if bits.bit_count() < abort_below:
+    n = bits.bit_count()
+    if n < abort_below:
         return None
     row_of = b.row_of
     hit = list(map(row_of.__contains__, xa.tids))
@@ -217,5 +218,4 @@ def construct(
     else:
         pro, uo = list(pro), list(uo)
         plist = PatternList(xa.items + b.items, tids, pro, uo, bits, b.item_ruo, rows, b.fill_ruo)
-    n = len(tids)
     return plist, PatternSummary(n, sum(pro, 0.0), sum(uo) / n if n else 0.0)

@@ -19,18 +19,19 @@ emission re-checks the probability and occupancy thresholds.
   is below the minimum, sound by the same anti-monotonicity argument.
 
 The search is one loop inside :func:`mine` over an explicit stack of
-sibling frames, so no recursion limit caps its depth.  It counts in
-:class:`MiningStats` what it drops, by reason: a join below the support
-minimum, a child below the probability minimum, and a node whose subtree
-the occupancy bound cut.  Only :func:`upper_bound` reads a node's
-remaining utility, once per call, and the search calls it only for a
-node whose occupancy is below the minimum and that has a later sibling
-(the last node of a frame has nothing to join), so under a preset
-without the bound no ruo is gathered.  That last node is never joined
-either, so it is built summary-only, with no columns.  The search calls
-``construct``, ``upper_bound`` and the set-up functions through this
-module's globals, so a wrapper set on one of those names sees every
-call.
+sibling frames, so no recursion limit caps its depth.  A frame holds the
+siblings left to visit, last first: the node taken from its end leaves
+its join candidates behind, and a node that empties it is a leaf.  The
+search counts in :class:`MiningStats` what it drops, by reason: a join
+below the support minimum, a child below the probability minimum, and a
+node whose subtree the occupancy bound cut.  Only :func:`upper_bound`
+reads a node's remaining utility, once per call, and the search calls it
+only for a node whose occupancy is below the minimum and that is not a
+leaf, so under a preset without the bound no ruo is gathered.  A leaf is
+never joined either, so it is built summary-only, with no columns.  The
+search calls ``construct``, ``upper_bound`` and the set-up functions
+through this module's globals, so a wrapper set on one of those names
+sees every call.
 """
 
 from __future__ import annotations
@@ -106,9 +107,11 @@ def mine(
     in the stats changes.  ``on_node``, when given, is called as
     ``on_node(plist, summary)`` once per visited node, in visit order,
     before the node is emitted or expanded; it changes neither the result
-    nor the stats.  Every list it is given is built in full, although a
-    plain run builds the last node of a frame summary-only.  A caller
-    that wants a node's :func:`upper_bound` computes it in the hook.
+    nor the stats.  Each frame of the search holds the siblings left to
+    visit, last first; a node that empties its frame is a leaf, which is
+    never bounded and which a plain run builds summary-only, but every
+    list the hook is given is built in full.  A caller that wants a
+    node's :func:`upper_bound` computes it in the hook.
 
     Raises :class:`DatabaseValidationError` if ``db`` is invalid.  The
     check runs only while ``db`` has no verdict recorded, and its result
@@ -140,18 +143,16 @@ def mine(
     found: list[PatternRecord] = []
 
     # Depth first from an explicit stack, so the depth is not capped by the
-    # interpreter's recursion limit.  A frame is [siblings, next index];
-    # a node's surviving children are pushed as a frame of their own and
-    # searched before its next sibling.
-    stack: list[list] = [[[singles[item] for item in order.items], 0]]
+    # interpreter's recursion limit.  A frame holds the siblings left to
+    # visit, last first; a node's surviving children are pushed as a frame
+    # of their own and searched before its next sibling.
+    stack = [[singles[item] for item in reversed(order.items)]]
     while stack:
         frame = stack[-1]
-        extensions, index = frame
-        if index == len(extensions):
+        if not frame:
             stack.pop()
             continue
-        frame[1] = index + 1
-        xa_list, xa_sum = extensions[index]
+        xa_list, xa_sum = frame.pop()
         stats.visited_nodes += 1
         if on_node is not None:
             on_node(xa_list, xa_sum)
@@ -168,27 +169,27 @@ def mine(
                 )
             )
 
-        # The last node of a frame has no later sibling to join, so no
-        # subtree to cut.  A visited node has at least min_sup rows and ruo
-        # is never negative, so its bound is at least its occupancy: a node
-        # whose occupancy reaches min_uo cannot be pruned, and its ruo is
-        # not gathered.
+        # A node whose frame is left empty is a leaf: it has no later
+        # sibling to join, so no subtree to cut.  A visited node has at
+        # least min_sup rows and ruo is never negative, so its bound is at
+        # least its occupancy: a node whose occupancy reaches min_uo cannot
+        # be pruned, and its ruo is not gathered.
         if (
             strategies.bound_prune
-            and index + 1 < len(extensions)
+            and frame
             and xa_sum.occupancy < min_uo
             and upper_bound(xa_list, min_sup) < min_bound
         ):
             stats.pruned_bound += 1
             continue
 
-        # Joined from the last candidate back: until one child survives,
-        # each would be the last of its frame, never joined or bounded, so
-        # it is built summary-only unless the hook is to see it.
+        # Joined last first, as the frame holds them, so the children kept
+        # form the next frame as they are.  Until one survives, each would be
+        # a leaf, so it is built summary-only unless the hook is to see it.
         children: list[tuple[PatternList, PatternSummary]] = []
         summary_only = on_node is None
-        for xb_list, _ in reversed(extensions[index + 1 :]):
-            stats.candidate_joins += 1
+        stats.candidate_joins += len(frame)
+        for xb_list, _ in frame:
             joined = construct(
                 xa_list, singles[xb_list.items[-1]][0], min_sup, summary_only=summary_only
             )
@@ -202,8 +203,7 @@ def mine(
             children.append(joined)
             summary_only = False
         if children:
-            children.reverse()
-            stack.append([children, 0])
+            stack.append(children)
 
     patterns = tuple(sorted(found, key=PatternRecord.sort_key))
     stats.patterns_found = len(patterns)

@@ -180,6 +180,7 @@ def test_prune_counters_count_what_the_search_drops(bench_db, monkeypatch, strat
     seen = Counter()
 
     def counting_construct(*args, **kwargs):
+        seen["construct_calls"] += 1
         joined = construct(*args, **kwargs)
         if joined is None:
             seen["pruned_support"] += 1
@@ -199,6 +200,7 @@ def test_prune_counters_count_what_the_search_drops(bench_db, monkeypatch, strat
         name: seen[name] for name in PRUNE_COUNTERS
     }
     assert list(stats.as_dict())[-3:] == list(PRUNE_COUNTERS)
+    assert stats.candidate_joins == seen["construct_calls"]
     # Each reason the preset allows is exercised, so the equality means
     # something.
     assert stats.pruned_support > 0

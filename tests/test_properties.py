@@ -235,6 +235,34 @@ def test_values_read_on_demand_at_every_node(db, th):
             assert abs(bound - sum(top) / min_sup) <= TOL
 
 
+@settings(max_examples=200, deadline=None)
+@given(db=databases(), th=thresholds)
+def test_search_visits_the_tree_depth_first_in_rank_order(db, th):
+    # The set-enumeration tree, depth first: the roots in the total order,
+    # each node after its prefix, siblings in ascending rank of their last
+    # item, and a node's descendants right after it, before its next
+    # sibling.
+    for strategies in PRESETS.values():
+        visits = []
+        mine(db, th, strategies, on_node=lambda plist, _: visits.append(plist.items))
+        position = {items: k for k, items in enumerate(visits)}
+        assert len(position) == len(visits)
+        roots = [items[0] for items in visits if len(items) == 1]
+        assert roots == list(total_order(db, roots).items)
+        rank = {item: k for k, item in enumerate(roots)}
+        last_rank = {}
+        for k, items in enumerate(visits):
+            ranks = [rank[item] for item in items]
+            assert ranks == sorted(set(ranks))
+            prefix = items[:-1]
+            assert not prefix or position[prefix] < k
+            assert last_rank.get(prefix, -1) < ranks[-1]
+            last_rank[prefix] = ranks[-1]
+            size = len(items)
+            below = sum(len(other) > size and other[:size] == items for other in visits)
+            assert all(other[:size] == items for other in visits[k + 1 : k + 1 + below])
+
+
 @settings(max_examples=150, deadline=None)
 @given(db=databases(), data=st.data())
 def test_single_item_lists_under_a_subset_order(db, data):
