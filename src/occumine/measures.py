@@ -7,9 +7,9 @@ or a fault there would show in miner and oracle alike, unseen.  The
 oracle, :func:`oracle_mine`, is an enumeration, :func:`oracle_measures`,
 that measures every itemset with no threshold, then a filter,
 :func:`oracle_filter`, that holds its only threshold comparisons.  The
-enumeration follows the miner's one float evaluation order, so ``mine``
-and ``oracle_mine`` return equal records, floats included; the
-per-pattern functions follow transaction order and agree within ``TOL``.
+enumeration and the per-pattern functions evaluate an itemset by one
+function, in the miner's float order under the given database's total
+order, so they and ``mine`` return equal floats on one database.
 
 Measure definitions, for a pattern X over a database D:
 
@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, prod
-from typing import Iterable, Iterator, Mapping
+from math import comb, nan
+from typing import Iterable, Mapping
 
 from .errors import EnumerationBudgetError, MissingUtilityError, UndefinedMeasureError
 from .model import PatternRecord, Thresholds, UncertainDatabase
@@ -76,62 +76,89 @@ def _as_pattern(pattern: Iterable[str]) -> frozenset[str]:
     return p
 
 
-def _supporting(p: frozenset[str], db: UncertainDatabase) -> Iterator[tuple]:
-    """``(items, quantities, probabilities, tu)`` of each transaction of ``db``
-    that holds every item of ``p``, in order, sliced from the columns."""
+def _columns(db: UncertainDatabase, units: Mapping[str, float]) -> dict[str, dict[int, tuple]]:
+    """Per item of ``units``, ``{tid: (share, probability, utility)}`` over
+    the transactions holding it, ascending, in one pass over the occurrence
+    columns.  The utility is quantity * ``units[item]``; the share, it / tu."""
+    columns = {item: {} for item in units}
     table = db.transactions
-    for span, tu in zip(table.spans(), table.tu):
-        items = table.items[span]
-        if p.issubset(items):
-            yield items, table.quantities[span], table.probabilities[span], tu
+    tids = table.per_occurrence(range(1, len(table) + 1))
+    tus = table.per_occurrence(table.tu)
+    for item, quantity, p, tid, tu in zip(
+        table.items, table.quantities, table.probabilities, tids, tus
+    ):
+        if item in columns:
+            u = quantity * units[item]
+            columns[item][tid] = (u / tu, p, u)
+    return columns
+
+
+def _common(columns: list[dict[int, tuple]]) -> list[int]:
+    """The tids that every column holds, ascending as each column is."""
+    tids = list(columns[0])
+    for column in columns[1:]:
+        tids = list(filter(column.__contains__, tids))
+    return tids
+
+
+def _evaluate(columns: list[dict[int, tuple]]) -> tuple[int, float, float]:
+    """(support count, probability, utility occupancy) of the itemset whose
+    columns come in the mining total order, evaluated as the miner's lists
+    do: per common tid, ascending, the shares added and the probabilities
+    multiplied left to right; then ``sum(products, 0.0)`` and ``sum(shares)
+    / support``.  ``(0, 0.0, nan)`` when no tid is common."""
+    tids = _common(columns)
+    if not tids:
+        return 0, 0.0, nan
+    first, *rest = columns
+    shares, products = [], []
+    for tid in tids:
+        share, product, _ = first[tid]
+        for column in rest:
+            value, p, _ = column[tid]
+            share += value
+            product *= p
+        shares.append(share)
+        products.append(product)
+    return len(tids), sum(products, 0.0), sum(shares) / len(tids)
+
+
+def _pattern_columns(p: frozenset[str], db: UncertainDatabase, priced: bool = False) -> list:
+    """The columns of ``p``'s items, ranked as ``db``'s total order ranks
+    them.  Unpriced, an item with no unit utility gets NaN shares."""
+    utilities = db.unit_utilities
+    missing = sorted(p - utilities.keys()) if priced else []
+    if missing:
+        raise MissingUtilityError(missing[0])
+    ranked = sorted(p, key=lambda item: (db.item_supports.get(item, 0), item))
+    return list(_columns(db, {item: utilities.get(item, nan) for item in ranked}).values())
 
 
 def support_count(pattern: Iterable[str], db: UncertainDatabase) -> int:
     """Number of transactions containing every item of the pattern."""
-    p = _as_pattern(pattern)
-    return sum(1 for _ in _supporting(p, db))
-
-
-def _pattern_utilities(p: frozenset[str], db: UncertainDatabase) -> Iterator[tuple[float, float]]:
-    """``(utility of p, tu)`` in each transaction of ``db`` holding ``p``, in order."""
-    utilities = db.unit_utilities
-    for item in p:
-        if item not in utilities:
-            raise MissingUtilityError(item)
-    for items, quantities, _, tu in _supporting(p, db):
-        yield sum(q * utilities[i] for i, q in zip(items, quantities) if i in p), tu
+    return _evaluate(_pattern_columns(_as_pattern(pattern), db))[0]
 
 
 def utility(pattern: Iterable[str], db: UncertainDatabase) -> float:
     """Total utility of the pattern over its supporting transactions."""
-    total = 0.0
-    for u, _ in _pattern_utilities(_as_pattern(pattern), db):
-        total += u
-    return total
+    columns = _pattern_columns(_as_pattern(pattern), db, priced=True)
+    return sum((sum(column[tid][2] for column in columns) for tid in _common(columns)), 0.0)
 
 
 def utility_occupancy(pattern: Iterable[str], db: UncertainDatabase) -> float:
     """Average share of transaction utility the pattern claims where it occurs."""
     p = _as_pattern(pattern)
-    share_sum = 0.0
-    supporting = 0
-    for u, tu in _pattern_utilities(p, db):
-        share_sum += u / tu
-        supporting += 1
-    if supporting == 0:
+    support, _, occupancy = _evaluate(_pattern_columns(p, db, priced=True))
+    if not support:
         raise UndefinedMeasureError(
             f"utility occupancy undefined: {sorted(p)} has no supporting transaction"
         )
-    return share_sum / supporting
+    return occupancy
 
 
 def probability(pattern: Iterable[str], db: UncertainDatabase) -> float:
     """Summed existential probability of the pattern over supporting transactions."""
-    p = _as_pattern(pattern)
-    total = 0.0
-    for items, _, probabilities, _ in _supporting(p, db):
-        total += prod(pr for item, pr in zip(items, probabilities) if item in p)
-    return total
+    return _evaluate(_pattern_columns(_as_pattern(pattern), db))[1]
 
 
 def remaining_utility_occupancy(
@@ -144,21 +171,26 @@ def remaining_utility_occupancy(
 
     Only items that carry a rank contribute; items outside the order
     (filtered as unpromising) count toward the transaction utility in the
-    denominator but never toward the remaining share.
+    denominator but never toward the remaining share.  The shares are
+    added in descending rank, from 0.0, as the single-item lists sum ruo.
     """
     p = _as_pattern(pattern)
-    unranked = p.difference(order.rank)
+    rank = order.rank
+    unranked = p.difference(rank)
     if unranked:
         raise ValueError(f"items not in the total order: {sorted(unranked)}")
     t = db.transaction(tid)
     if not p.issubset(t.items):
         raise ValueError(f"pattern {sorted(p)} is not contained in transaction {tid}")
-    last = max(order.rank[item] for item in p)
+    last = max(rank[item] for item in p)
+    shares = {
+        rank[item]: quantity * db.unit_utilities[item] / t.tu
+        for item, quantity in zip(t.items, t.quantities)
+        if rank.get(item, -1) > last
+    }
     tail = 0.0
-    for item, quantity in zip(t.items, t.quantities):
-        rank = order.rank.get(item)
-        if rank is not None and rank > last:
-            tail += quantity * db.unit_utilities[item] / t.tu
+    for r in sorted(shares, reverse=True):
+        tail += shares[r]
     return tail
 
 
@@ -169,59 +201,25 @@ def oracle_measures(
 ) -> dict[frozenset[str], tuple[int, float, float]]:
     """(support count, probability, utility occupancy) of every itemset of
     up to ``max_len`` items that some transaction holds, found with no
-    pruning and no threshold, which is the point.  Each is evaluated as the
-    miner's lists do: items in the mining total order; per transaction, the
-    items' shares quantity * unit utility / tu added and their probabilities
-    multiplied left to right; then ``sum(products, 0.0)`` and ``sum(shares)
-    / support`` over ascending tids.  Raises :class:`EnumerationBudgetError`,
-    before any work, if that means examining more than ``budget`` itemsets."""
+    pruning and no threshold, which is the point.  Each comes from the one
+    per-itemset evaluation that the per-pattern functions call too, in the
+    miner's float order.  Raises :class:`EnumerationBudgetError`, before any
+    work, if that means examining more than ``budget`` itemsets."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     items = total_order(db).items
     lengths = range(1, min(max_len, len(items)) + 1)
-    examined = 0
-    for length in lengths:
-        examined += comb(len(items), length)
-        if examined > budget:
-            raise EnumerationBudgetError(budget)
-
-    # item -> {tid: (quantity * unit utility / tu, probability)} over the
-    # transactions holding it, in one pass over the occurrence columns.
-    held: dict[str, dict[int, tuple[float, float]]] = {item: {} for item in items}
-    table = db.transactions
-    for item, quantity, p, tid, tu in zip(
-        table.items,
-        table.quantities,
-        table.probabilities,
-        table.per_occurrence(range(1, len(table) + 1)),
-        table.per_occurrence(table.tu),
-    ):
-        held[item][tid] = (quantity * db.unit_utilities[item] / tu, p)
-    tid_sets = {item: frozenset(column) for item, column in held.items()}
-
+    if sum(comb(len(items), length) for length in lengths) > budget:
+        raise EnumerationBudgetError(budget)
+    columns = _columns(db, {item: db.unit_utilities[item] for item in items})
     measures = {}
     for length in lengths:
         for itemset in combinations(items, length):
-            tids = tid_sets[itemset[0]]
-            for item in itemset[1:]:
-                tids = tids & tid_sets[item]
-                if not tids:
-                    break
-            if not tids:
-                continue
-            first, *rest = [held[item] for item in itemset]
-            shares, products = [], []
-            for tid in sorted(tids):
-                share, product = first[tid]
-                for column in rest:
-                    value, p = column[tid]
-                    share += value
-                    product *= p
-                shares.append(share)
-                products.append(product)
-            measures[frozenset(itemset)] = (len(tids), sum(products, 0.0), sum(shares) / len(tids))
+            found = _evaluate([columns[item] for item in itemset])
+            if found[0]:
+                measures[frozenset(itemset)] = found
     return measures
 
 

@@ -8,14 +8,19 @@ import pytest
 from occumine import measures
 
 from occumine import (
+    PRESETS,
     EnumerationBudgetError,
     GeneratorConfig,
     MissingUtilityError,
     Thresholds,
+    Transaction,
+    UncertainDatabase,
     UndefinedMeasureError,
     build_database,
     generate,
+    mine,
     oracle_mine,
+    parse_database,
     probability,
     remaining_utility_occupancy,
     support_count,
@@ -25,9 +30,16 @@ from occumine import (
 )
 
 
+#: b occurs but has no unit utility: its support and probability still answer.
+UNPRICED_B = UncertainDatabase([Transaction(("a", "b"), (1, 2), (0.5, 0.5), 3.0)], {"a": 1.0})
+
+
 def test_support_counts(example_db):
     assert support_count({"b"}, example_db) == 5
     assert support_count({"b", "c"}, example_db) == 3
+    assert support_count({"zz"}, example_db) == 0  # zz never occurs
+    assert support_count({"zz", "b"}, example_db) == 0
+    assert support_count({"a", "b"}, UNPRICED_B) == 1
 
 
 def test_support_on_empty_db():
@@ -36,7 +48,7 @@ def test_support_on_empty_db():
 
 
 def test_empty_pattern_rejected(example_db):
-    for fn in (support_count, utility, probability):
+    for fn in (support_count, utility, utility_occupancy, probability):
         with pytest.raises(ValueError):
             fn(set(), example_db)
 
@@ -61,6 +73,8 @@ def test_utility_on_single_transaction_db(example_db):
 def test_missing_utility_entry(example_db, measure):
     with pytest.raises(MissingUtilityError):
         measure({"zz"}, example_db)
+    with pytest.raises(MissingUtilityError):
+        measure({"a", "b"}, UNPRICED_B)
 
 
 def test_utility_occupancy_values(example_db):
@@ -71,16 +85,20 @@ def test_utility_occupancy_values(example_db):
 
 def test_utility_occupancy_zero_support():
     db = build_database(
-        [[("a", 1, 0.5)], [("b", 2, 0.5)]], {"a": 1.0, "b": 1.0}
+        [[("a", 1, 0.5)], [("b", 2, 0.5)]], {"a": 1.0, "b": 1.0, "c": 1.0}
     )
-    with pytest.raises(UndefinedMeasureError):
-        utility_occupancy({"a", "b"}, db)
+    for pattern in ({"a", "b"}, {"c"}, {"a", "c"}):  # c has a unit utility, never occurs
+        with pytest.raises(UndefinedMeasureError):
+            utility_occupancy(pattern, db)
 
 
 def test_probability_values(example_db):
     assert probability({"b"}, example_db) == pytest.approx(3.3, abs=1e-9)
     assert probability({"b", "c"}, example_db) == pytest.approx(1.45, abs=1e-9)
     assert probability({"c", "a"}, example_db) == pytest.approx(2.13, abs=1e-9)
+    assert probability({"zz"}, example_db) == 0.0  # zz never occurs
+    assert probability({"zz", "b"}, example_db) == 0.0
+    assert probability({"a", "b"}, UNPRICED_B) == 0.25
 
 
 def test_remaining_utility_occupancy(example_db):
@@ -92,6 +110,23 @@ def test_remaining_utility_occupancy(example_db):
     assert remaining_utility_occupancy({"b"}, 3, example_db, order) == pytest.approx(
         0.3421, abs=1e-4
     )
+
+
+def test_per_pattern_measures_equal_mine_on_a_cut_off():
+    # {b, c, d, e, f} has occupancy 89/101 = beta - TOL.  The per-pattern
+    # functions evaluate as mine does, to the bit; in transaction order the
+    # occupancy and the probability of a b d e f would be one ulp off.
+    db = parse_database(
+        "e:5:0.1 a:4:0.9 c:5:0.1 f:4:0.3 b:4:0.9 d:1:0.5\n", "a 3\nb 6\nc 1\nd 8\ne 8\nf 3\n"
+    )
+    thresholds = Thresholds(1, 0.8811881198118812, 0)
+    for strategies in PRESETS.values():
+        records = mine(db, thresholds, strategies).patterns
+        assert ("a", "b", "d", "e", "f") in {tuple(sorted(r.items)) for r in records}
+        for r in records:
+            assert support_count(r.items, db) == r.support
+            assert probability(r.items, db).hex() == r.probability.hex()
+            assert utility_occupancy(r.items, db).hex() == r.utility_occupancy.hex()
 
 
 def test_remaining_requires_containment(example_db):

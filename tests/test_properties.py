@@ -142,14 +142,15 @@ def test_mine_equals_oracle_under_every_preset(db, data):
 @settings(max_examples=150, deadline=None)
 @given(db=databases())
 def test_enumeration_equals_per_pattern_measures(db):
-    # Two computations of the same measures: one pass over all itemsets by
-    # tid-set intersection, and one scan of the database per pattern.
+    # Two computations of the same measures: one pass over all itemsets,
+    # and one read of the database per pattern.  Both evaluate in the
+    # miner's order, so the floats agree to the bit.
     measures = oracle_measures(db, max_len=len(ITEMS))
     assert len(measures) >= len(db.item_universe)
     for itemset, (support, pro, uo) in measures.items():
         assert support == support_count(itemset, db)
-        assert abs(pro - probability(itemset, db)) <= TOL
-        assert abs(uo - utility_occupancy(itemset, db)) <= TOL
+        assert pro.hex() == probability(itemset, db).hex()
+        assert uo.hex() == utility_occupancy(itemset, db).hex()
 
 
 @settings(max_examples=150, deadline=None)
@@ -226,9 +227,10 @@ def test_values_read_on_demand_at_every_node(db, th):
         order = total_order(db, promising)
         for items, tids, ruo, summary, bound in nodes:
             expected = [remaining_utility_occupancy(items, tid, db, order) for tid in tids]
-            assert len(ruo) == len(tids)
-            assert all(abs(got - want) <= TOL for got, want in zip(ruo, expected))
+            assert list(map(float.hex, ruo)) == list(map(float.hex, expected))
             assert bound >= summary.occupancy + sum(ruo) / len(ruo) - TOL
+            # In a one-transaction database every item has support 1, so its
+            # order falls back to ids and the uo may differ in the last bit.
             alone = [dataclasses.replace(db, transactions=(db.transaction(tid),)) for tid in tids]
             uo = [utility_occupancy(items, one) for one in alone]
             top = sorted(map(sum, zip(uo, expected)), reverse=True)[:min_sup]
@@ -283,7 +285,7 @@ def test_single_item_lists_under_a_subset_order(db, data):
             k = t.items.index(item)
             assert abs(pro - t.probabilities[k]) <= TOL
             assert abs(uo - t.quantities[k] * db.unit_utilities[item] / t.tu) <= TOL
-            assert abs(ruo - remaining_utility_occupancy((item,), tid, db, order)) <= TOL
+            assert ruo.hex() == remaining_utility_occupancy((item,), tid, db, order).hex()
     assert all(ruo == 0.0 for ruo in singles[order.items[-1]][0].ruo)
 
 
