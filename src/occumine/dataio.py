@@ -14,7 +14,8 @@ starting with ``#`` are comments, final newline optional:
 
 A transaction's total utility, summed left to right, must be positive
 and finite.  Every error, invalid UTF-8 included, names the file line
-and, where one token is at fault, its 1-based column.
+and, where one token is at fault, its 1-based column; a value that
+breaks a rule of the model reads as ``validate_database`` words it.
 
 Transactions are parsed as bytes, in blocks of raw lines (comment and
 blank lines count), each converted whole by a few C-level calls after
@@ -34,7 +35,7 @@ import random
 import re
 import sys
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, repeat
@@ -43,6 +44,7 @@ from pathlib import Path
 
 from .errors import DatabaseValidationError, MissingUtilityError, ParseError
 from .model import TransactionTable, UncertainDatabase, _spans, build_database, validate_database
+from .model import occurrence_faults, total_faults, unit_utility_faults
 
 _ITEM_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _TOKEN_RE = re.compile(r"\S+")
@@ -106,6 +108,12 @@ def _lines(text: str, first: int = 1):
         yield number, line
 
 
+def _raise_first(faults: Iterator[str], line: int, column: int | None = None) -> None:
+    """Raise a ParseError at ``line`` and ``column`` with the first of ``faults``, if any."""
+    for fault in faults:
+        raise ParseError(fault, line, column)
+
+
 def parse_utilities(utility_text: str | bytes) -> dict[str, float]:
     """Parse the unit-utility table format."""
     utilities: dict[str, float] = {}
@@ -126,12 +134,7 @@ def parse_utilities(utility_text: str | bytes) -> dict[str, float]:
             raise ParseError(
                 f"unit utility {value_text!r} is not a number", number, value_col
             ) from None
-        if not math.isfinite(value) or value < 0:
-            raise ParseError(
-                f"unit utility {value_text} out of range (must be >= 0)",
-                number,
-                value_col,
-            )
+        _raise_first(unit_utility_faults(value), number, value_col)
         utilities[item] = value
     return utilities
 
@@ -142,7 +145,8 @@ def _parse_tokens(numbered_lines, utilities: dict[str, float]) -> _Block:
     ``numbered_lines`` holds ``(line_number, line)`` pairs as
     :func:`_lines` yields them.  Each check raises on its own token, so
     an error names the file line and the 1-based column where the
-    offending token starts.  Returns the lines as one block.
+    offending token starts.  The model's rules are its ``*_faults``
+    generators.  Returns the lines as one block.
     """
     ends, totals, items, quantities, probabilities = [], [], [], [], []
     for number, line in numbered_lines:
@@ -156,38 +160,25 @@ def _parse_tokens(numbered_lines, utilities: dict[str, float]) -> _Block:
                     f"token {token!r} is not item:quantity:probability", number, column
                 )
             item, quantity_text, probability_text = parts
-            # Every utility key already matched _ITEM_RE, so only an
-            # unknown item needs the regex.
-            known = item in utilities
-            if not known and not _ITEM_RE.match(item):
-                raise ParseError(f"invalid item id {item!r}", number, column)
-            if item in seen:
-                raise ParseError(f"duplicate item {item!r} in transaction", number, column)
-            seen.add(item)
+            if item not in utilities:
+                # Every utility key already matched _ITEM_RE, so only an
+                # unknown item needs the regex.
+                if not _ITEM_RE.match(item):
+                    raise ParseError(f"invalid item id {item!r}", number, column)
+                raise MissingUtilityError(item, number, column)
             try:
                 quantity = int(quantity_text)
             except ValueError:
                 raise ParseError(
                     f"quantity {quantity_text!r} is not an integer", number, column
                 ) from None
-            if quantity < 1:
-                raise ParseError(
-                    f"quantity {quantity} out of range (must be >= 1)", number, column
-                )
             try:
                 prob = float(probability_text)
             except ValueError:
                 raise ParseError(
                     f"probability {probability_text!r} is not a number", number, column
                 ) from None
-            if not 0.0 < prob <= 1.0:
-                raise ParseError(
-                    f"probability {prob} out of range (must be in (0, 1])",
-                    number,
-                    column,
-                )
-            if not known:
-                raise MissingUtilityError(item, number, column)
+            _raise_first(occurrence_faults(item, quantity, prob, seen, utilities), number, column)
             items.append(item)
             quantities.append(quantity)
             probabilities.append(prob)
@@ -197,10 +188,7 @@ def _parse_tokens(numbered_lines, utilities: dict[str, float]) -> _Block:
                 raise ParseError(
                     "quantity out of range (beyond the float range)", number, column
                 ) from None
-        if not math.isfinite(tu):
-            raise ParseError("transaction total utility is not a finite number", number)
-        if tu == 0:
-            raise ParseError("transaction has zero total utility", number)
+        _raise_first(total_faults(tu, tu), number)  # the total is the stored tu
         totals.append(tu)
         ends.append(len(items))
     return ends, totals, items, quantities, probabilities
@@ -319,7 +307,7 @@ def parse_database(
     del raw_lines
     table = TransactionTable(ends, totals, items, quantities, probabilities)
     db = UncertainDatabase(table, utilities)
-    # Every line passed the checks validate_database makes.
+    # Every value passed the rules validate_database checks.
     db.record_verdict(())
     return db
 

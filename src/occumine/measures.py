@@ -123,15 +123,20 @@ def _evaluate(columns: list[dict[int, tuple]]) -> tuple[int, float, float]:
     return len(tids), sum(products, 0.0), sum(shares) / len(tids)
 
 
-def _pattern_columns(p: frozenset[str], db: UncertainDatabase, priced: bool = False) -> list:
-    """The columns of ``p``'s items, ranked as ``db``'s total order ranks
-    them.  Unpriced, an item with no unit utility gets NaN shares."""
-    utilities = db.unit_utilities
-    missing = sorted(p - utilities.keys()) if priced else []
+def _units(items: Iterable[str], db: UncertainDatabase, priced: bool = True) -> dict:
+    """``{item: unit utility}`` over ``items``, in order.  Priced, an item with
+    none raises :class:`MissingUtilityError` naming the least such; else NaN."""
+    units = {item: db.unit_utilities.get(item, nan) for item in items}
+    missing = sorted(units.keys() - db.unit_utilities.keys()) if priced else []
     if missing:
         raise MissingUtilityError(missing[0])
+    return units
+
+
+def _pattern_columns(p: frozenset[str], db: UncertainDatabase, priced: bool = False) -> list:
+    """The columns of ``p``'s items, ranked as ``db``'s total order ranks them."""
     ranked = sorted(p, key=lambda item: (db.item_supports.get(item, 0), item))
-    return list(_columns(db, {item: utilities.get(item, nan) for item in ranked}).values())
+    return list(_columns(db, _units(ranked, db, priced)).values())
 
 
 def support_count(pattern: Iterable[str], db: UncertainDatabase) -> int:
@@ -183,14 +188,11 @@ def remaining_utility_occupancy(
     if not p.issubset(t.items):
         raise ValueError(f"pattern {sorted(p)} is not contained in transaction {tid}")
     last = max(rank[item] for item in p)
-    shares = {
-        rank[item]: quantity * db.unit_utilities[item] / t.tu
-        for item, quantity in zip(t.items, t.quantities)
-        if rank.get(item, -1) > last
-    }
+    later = {item: q for item, q in zip(t.items, t.quantities) if rank.get(item, -1) > last}
+    units = _units(later, db)
     tail = 0.0
-    for r in sorted(shares, reverse=True):
-        tail += shares[r]
+    for item in sorted(later, key=rank.__getitem__, reverse=True):
+        tail += later[item] * units[item] / t.tu
     return tail
 
 
@@ -213,7 +215,7 @@ def oracle_measures(
     lengths = range(1, min(max_len, len(items)) + 1)
     if sum(comb(len(items), length) for length in lengths) > budget:
         raise EnumerationBudgetError(budget)
-    columns = _columns(db, {item: db.unit_utilities[item] for item in items})
+    columns = _columns(db, _units(items, db))
     measures = {}
     for length in lengths:
         for itemset in combinations(items, length):

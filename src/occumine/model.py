@@ -11,9 +11,9 @@ item supports once, at construction; its item universe is their keys.
 
 The miner checks a database at most once.  It records the verdict of
 :func:`validate_database` the first time the miner asks for it, and
-``parse_database`` records the empty verdict up front because it
-enforces every invariant the check looks for.  Direct construction and
-``dataclasses.replace`` start with no verdict recorded.
+``parse_database`` records the empty verdict up front: it raises on
+the first fault the check's own ``*_faults`` generators find.  Direct
+construction and ``dataclasses.replace`` start with no verdict recorded.
 
 A database keeps its transactions in one :class:`TransactionTable`:
 database-wide columns that are exact tuples of ints, floats or strings.
@@ -49,8 +49,7 @@ from typing import Iterable, Iterator, Mapping
 #: can land a few ulps off its exact value; the occupancy bound, another
 #: float sum, prunes only a further ``TOL`` below.  :meth:`Thresholds.min_support`
 #: gives the support fraction the same slack.  A stored transaction utility
-#: must agree with its left-to-right total (:func:`transaction_utility`)
-#: within ``TOL``, relative: ``abs(total - tu) <= TOL * max(1.0, abs(total))``.
+#: must agree with its left-to-right total within ``TOL``, relative (:func:`total_faults`).
 TOL = 1e-9
 
 
@@ -413,6 +412,40 @@ class Violation:
         return self.message
 
 
+def unit_utility_faults(value: float) -> Iterator[str]:
+    """The rules a unit utility breaks, in :func:`validate_database`'s words."""
+    if not math.isfinite(value):
+        yield "unit utility is not a finite number"
+    elif value < 0:
+        yield "unit utility is negative"
+
+
+def occurrence_faults(item, quantity, probability, seen: set, utilities: Mapping) -> Iterator[str]:
+    """The rules an occurrence breaks, in order; ``seen`` holds the items
+    before it in its transaction, and gains ``item``."""
+    if item in seen:
+        yield "duplicate item in transaction"
+    seen.add(item)
+    if type(quantity) is not int:
+        yield f"quantity {quantity} is not an integer"
+    elif quantity < 1:
+        yield f"quantity {quantity} below 1"
+    if not 0.0 < probability <= 1.0:
+        yield f"probability {probability} outside (0, 1]"
+    if item not in utilities:
+        yield "missing utility entry"
+
+
+def total_faults(total: float, tu: float) -> Iterator[str]:
+    """The rules a transaction breaks by its left-to-right ``total`` and stored ``tu``."""
+    if not (math.isfinite(total) and math.isfinite(tu)):
+        yield "transaction utility is not a finite number"
+    elif abs(total - tu) > TOL * max(1.0, abs(total)):
+        yield f"stored tu {tu} does not match recomputed {total}"
+    if total <= 0.0:
+        yield "transaction utility is not positive"
+
+
 def validate_database(db: UncertainDatabase) -> list[Violation]:
     """Check every model invariant; an empty list means the database is valid.
 
@@ -423,10 +456,7 @@ def validate_database(db: UncertainDatabase) -> list[Violation]:
     violations: list[Violation] = []
 
     for item, value in db.unit_utilities.items():
-        if not math.isfinite(value):
-            violations.append(Violation("unit utility is not a finite number", item=item))
-        elif value < 0:
-            violations.append(Violation("unit utility is negative", item=item))
+        violations.extend(Violation(fault, item=item) for fault in unit_utility_faults(value))
 
     utilities = db.unit_utilities
     table = db.transactions
@@ -434,30 +464,10 @@ def validate_database(db: UncertainDatabase) -> list[Violation]:
         items, quantities = table.items[span], table.quantities[span]
         seen: set[str] = set()
         for item, quantity, probability in zip(items, quantities, table.probabilities[span]):
-            if item in seen:
-                violations.append(Violation("duplicate item in transaction", tid=tid, item=item))
-            seen.add(item)
-            if type(quantity) is not int:
-                violations.append(
-                    Violation(f"quantity {quantity} is not an integer", tid=tid, item=item)
-                )
-            elif quantity < 1:
-                violations.append(Violation(f"quantity {quantity} below 1", tid=tid, item=item))
-            if not 0.0 < probability <= 1.0:
-                violations.append(
-                    Violation(f"probability {probability} outside (0, 1]", tid=tid, item=item)
-                )
-            if item not in utilities:
-                violations.append(Violation("missing utility entry", tid=tid, item=item))
+            for fault in occurrence_faults(item, quantity, probability, seen, utilities):
+                violations.append(Violation(fault, tid=tid, item=item))
         if all(item in utilities for item in items):
-            recomputed = transaction_utility(items, quantities, utilities)
-            if not (math.isfinite(recomputed) and math.isfinite(tu)):
-                violations.append(Violation("transaction utility is not a finite number", tid=tid))
-            elif abs(recomputed - tu) > TOL * max(1.0, abs(recomputed)):
-                violations.append(
-                    Violation(f"stored tu {tu} does not match recomputed {recomputed}", tid=tid)
-                )
-            if recomputed <= 0.0:
-                violations.append(Violation("transaction utility is not positive", tid=tid))
+            total = transaction_utility(items, quantities, utilities)
+            violations.extend(Violation(fault, tid=tid) for fault in total_faults(total, tu))
 
     return violations

@@ -73,8 +73,17 @@ def test_utility_on_single_transaction_db(example_db):
 def test_missing_utility_entry(example_db, measure):
     with pytest.raises(MissingUtilityError):
         measure({"zz"}, example_db)
-    with pytest.raises(MissingUtilityError):
+    with pytest.raises(MissingUtilityError, match="'b'"):
         measure({"a", "b"}, UNPRICED_B)
+    # The oracle and ruo read b's unit utility too, and name it.
+    order = total_order(UNPRICED_B)
+    for call in (
+        lambda: measures.oracle_measures(UNPRICED_B, 2),
+        lambda: oracle_mine(UNPRICED_B, Thresholds(0.1, 0.1, 0), 2),
+        lambda: remaining_utility_occupancy({"a"}, 1, UNPRICED_B, order),
+    ):
+        with pytest.raises(MissingUtilityError, match="'b'"):
+            call()
 
 
 def test_utility_occupancy_values(example_db):
@@ -314,7 +323,8 @@ def test_occupancy_lies_in_unit_interval(seed):
 
 def test_oracle_imports_nothing_from_the_miner():
     # The oracle is the ground truth: a fault in the lists or the search
-    # must not show in both.
+    # must not show in both.  Nor does it compute in exact rationals, the
+    # test-only reference it is checked against.
     imported = []
     for node in ast.walk(ast.parse(Path(measures.__file__).read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
@@ -322,4 +332,5 @@ def test_oracle_imports_nothing_from_the_miner():
         elif isinstance(node, ast.ImportFrom):
             imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
     assert imported
-    assert [name for name in imported if {"lists", "miner"} & set(name.split("."))] == []
+    refused = {"lists", "miner", "fractions"}
+    assert [name for name in imported if refused & set(name.split("."))] == []
