@@ -166,7 +166,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if flags:
             given = ", ".join(f"--{key}" for key in flags)
             raise PlanError(f"--plan cannot be combined with {given}")
-        plan = bench_mod.parse_plan(Path(args.plan).read_bytes())
+        try:
+            plan = bench_mod.parse_plan(Path(args.plan).read_bytes())
+        except PlanError as exc:
+            exc.path = args.plan
+            raise
     else:
         plan = bench_mod.plan_from_values(flags)
     rows = bench_mod.run_plan(plan)

@@ -313,10 +313,23 @@ def parse_database(
 
 
 def load_database(data_path: str | Path, utility_path: str | Path) -> UncertainDatabase:
-    """Read both files and parse them."""
+    """Read both files and parse them.
+
+    A parse error's message starts with the path of the file at fault.
+    ``parse_database`` parses the utility file first, so the fault is
+    that file's exactly when it fails to parse alone.
+    """
     data = Path(data_path).read_bytes()
     utility = Path(utility_path).read_bytes()
-    return parse_database(data, utility)
+    try:
+        return parse_database(data, utility)
+    except (ParseError, MissingUtilityError) as exc:
+        exc.path = str(data_path)
+        try:
+            parse_utilities(utility)
+        except ParseError:
+            exc.path = str(utility_path)
+        raise
 
 
 def _format_number(value: float) -> str:

@@ -5,7 +5,21 @@ class OccumineError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ParseError(OccumineError):
+class InputError(OccumineError):
+    """A fault in the content of an input file.
+
+    ``path`` is ``None`` until the reader that opened the file sets it;
+    from then on the message starts with it, as the user gave it.
+    """
+
+    path: str | None = None
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        return message if self.path is None else f"{self.path}: {message}"
+
+
+class ParseError(InputError):
     """Malformed input file.
 
     Carries the 1-based line number and, where it applies, the 1-based
@@ -19,7 +33,7 @@ class ParseError(OccumineError):
         super().__init__(f"{where}: {message}")
 
 
-class MissingUtilityError(OccumineError):
+class MissingUtilityError(InputError):
     """An item occurs in the data but has no unit-utility entry.
 
     Carries, when raised by the parser, the 1-based line number and
@@ -59,5 +73,5 @@ class EnumerationBudgetError(OccumineError):
         super().__init__(f"enumeration budget of {budget} itemsets exceeded")
 
 
-class PlanError(OccumineError):
+class PlanError(InputError):
     """A benchmark plan violates the one-varying-parameter rule or is malformed."""

@@ -17,20 +17,20 @@ summed rank by rank in a list indexed by tid, for every single-item list
 at once, the first time any list's ruo is read.
 
 A pattern's remaining utility share in a transaction is its last item's,
-so a joined list copies no ruo column: it keeps ``rows``, its rows in the
-single-item list of its last item, and reads ruo through them.  Only the
-occupancy bound reads ruo, so a run that never bounds never sums or
-gathers it.  A list that is never joined or bounded again can be built
-summary-only: the join sums its rows and keeps no column.
+so a joined list copies no ruo column: it keeps ``rows``, a tuple of its
+rows in the single-item list of its last item, and reads ruo through
+them.  Only the occupancy bound reads ruo, so a run that never bounds
+never sums or gathers it.  A list that is never joined or bounded again
+can be built summary-only: the join sums its rows and keeps no column.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Iterable
 
 from .measures import TotalOrder
@@ -43,11 +43,12 @@ class PatternList:
 
     ``item_ruo`` is the ruo column of the single-item list of
     ``items[-1]``: a single-item list's own, with ``rows`` of ``None``.
-    A joined list's ``rows`` holds, per tid, its row in that single-item
-    list, and ``ruo`` reads through them.  A summary-only list, from
-    ``construct(..., summary_only=True)``, holds ``items``, ``tids`` and
-    ``bits`` alone: its ``pro``, ``uo``, ``item_ruo`` and ``rows`` are
-    ``None``, so ``ruo`` is ``None`` too, and it cannot be joined.
+    A joined list's ``rows`` is a tuple holding, per tid, its row in that
+    single-item list, and ``ruo`` reads through them.  A summary-only
+    list, from ``construct(..., summary_only=True)``, holds ``items``,
+    ``tids`` and ``bits`` alone: its ``pro``, ``uo``, ``item_ruo`` and
+    ``rows`` are ``None``, so ``ruo`` is ``None`` too, and it cannot be
+    joined.
     ``fill_ruo``, when set, fills every ``item_ruo`` of the single-item
     lists built with this one, in place, the first time it is called;
     ``ruo`` calls it before reading.
@@ -61,7 +62,7 @@ class PatternList:
     uo: list[float] | None
     bits: int
     item_ruo: list[float] | None
-    rows: list[int] | None = None
+    rows: tuple[int, ...] | None = None
     fill_ruo: Callable[[], None] | None = field(default=None, repr=False, compare=False)
     _row_of: dict[int, int] | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -178,6 +179,18 @@ def build_single_item_lists(
     return result
 
 
+def _getter(keys: Sequence[int]) -> Callable[[Sequence | Mapping], tuple]:
+    """A function from a container to the tuple of its values at ``keys``.
+
+    ``itemgetter`` makes the lookups in one C-level call, but returns a
+    bare value for one key and fails with none, so fewer than two keys
+    are looked up through ``map``.
+    """
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    return lambda values: tuple(map(values.__getitem__, keys))
+
+
 def construct(
     xa: PatternList, b: PatternList, abort_below: int = 0, *, summary_only: bool = False
 ) -> tuple[PatternList, PatternSummary] | None:
@@ -192,11 +205,13 @@ def construct(
         uo  = uo_a + uo_b
         ruo = ruo_b
 
-    with the b values read from ``b``'s row for that tid; ruo is not
-    copied but read through ``rows``, those rows of ``b``.  The joint
-    support is the popcount of ``xa.bits & b.bits``; one below
-    ``abort_below`` returns ``None`` before any row is built.  Otherwise
-    the full (possibly empty) result is returned, with its summary.
+    with the b values read from ``b``'s row for that tid; the rows, and
+    then their b values, are looked up in one call each (see
+    :func:`_getter`).  ruo is not copied but read through ``rows``, those
+    rows of ``b``.  The joint support is the popcount of
+    ``xa.bits & b.bits``; one below ``abort_below`` returns ``None``
+    before any row is built.  Otherwise the full (possibly empty) result
+    is returned, with its summary.
 
     With ``summary_only`` the pro and uo rows are summed as they are made,
     in the same order, so the summary is bit-identical, and no column is
@@ -210,9 +225,10 @@ def construct(
     row_of = b.row_of
     hit = list(map(row_of.__contains__, xa.tids))
     tids = list(compress(xa.tids, hit))
-    rows = list(map(row_of.__getitem__, tids))
-    pro = map(mul, compress(xa.pro, hit), map(b.pro.__getitem__, rows))
-    uo = map(add, compress(xa.uo, hit), map(b.uo.__getitem__, rows))
+    rows = _getter(tids)(row_of)
+    take = _getter(rows)
+    pro = map(mul, compress(xa.pro, hit), take(b.pro))
+    uo = map(add, compress(xa.uo, hit), take(b.uo))
     if summary_only:
         plist = PatternList(xa.items + b.items, tids, None, None, bits, None)
     else:

@@ -134,7 +134,29 @@ def test_mine_invalid_utf8_exits_1_naming_the_line(tmp_path, capsys, bad_file):
     )
     assert code == 1
     assert out == ""
-    assert err == "occumine: line 3: invalid UTF-8 byte 0xff\n"
+    assert err == f"occumine: {files[bad_file][0]}: line 3: invalid UTF-8 byte 0xff\n"
+
+
+@pytest.mark.parametrize(
+    "data_text, utility_text, bad_file, message",
+    [
+        ("a:1:0.5 a:2:0.5\n", "a 1\n", "data", "line 1, column 9: duplicate item in transaction"),
+        ("a:1:0.5\n", "a -1\n", "utility", "line 1, column 3: unit utility is negative"),
+        ("a:1:0.5 b:1:0.5\n", "a 1\n", "data",
+         "no unit utility defined for item 'b' (line 1, column 9)"),
+    ],
+)
+def test_mine_parse_error_names_the_file(tmp_path, capsys, data_text, utility_text, bad_file,
+                                         message):
+    paths = {"data": tmp_path / "data.txt", "utility": tmp_path / "utility.txt"}
+    paths["data"].write_text(data_text)
+    paths["utility"].write_text(utility_text)
+    code, out, err = run(
+        ["mine", "--data", str(paths["data"]), "--utility", str(paths["utility"]),
+         "--alpha", "0.5", "--beta", "0.1", "--gamma", "0"],
+        capsys,
+    )
+    assert (code, out, err) == (1, "", f"occumine: {paths[bad_file]}: {message}\n")
 
 
 def test_mine_underflowing_probabilities(tmp_path, capsys):
@@ -368,14 +390,14 @@ def test_bench_plan_file_bad_key_exits_2(tmp_path, capsys, extra, message):
     plan.write_text(PLAN_TEXT + extra)
     code, out, err = run(["bench", "--plan", str(plan)], capsys)
     assert (code, out) == (2, "")
-    assert message in err
+    assert err.startswith(f"occumine: {plan}: {message}")
 
 
 def test_bench_plan_file_not_utf8_exits_2(tmp_path, capsys):
     plan = tmp_path / "plan.txt"
     plan.write_bytes(b"\xff" + PLAN_TEXT.encode())
     code, out, err = run(["bench", "--plan", str(plan)], capsys)
-    assert (code, out, err) == (2, "", "occumine: line 1: invalid UTF-8 byte 0xff\n")
+    assert (code, out, err) == (2, "", f"occumine: {plan}: line 1: invalid UTF-8 byte 0xff\n")
 
 
 def test_bench_plan_file_takes_no_plan_flag(tmp_path, capsys):

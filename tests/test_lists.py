@@ -5,6 +5,7 @@ import pytest
 from occumine import (
     GeneratorConfig,
     generate,
+    parse_database,
     probability,
     remaining_utility_occupancy,
     support_count,
@@ -113,6 +114,40 @@ def test_joined_remaining_comes_from_later_operand(example_singles):
     d_ruo = dict(zip(d_list.tids, d_list.ruo))
     for tid, ruo in zip(joined.tids, joined.ruo):
         assert ruo == d_ruo[tid]
+
+
+def _hexes(values):
+    return [value.hex() for value in values]
+
+
+@pytest.mark.parametrize("summary_only", [False, True])
+def test_joins_of_support_below_two_match_a_per_row_join(summary_only):
+    # Supports a 2, b 3, c 2, d 1, so the mining order is d, a, c, b.
+    db = parse_database(
+        "a:1:0.5 b:2:0.25 c:1:0.75\na:3:0.125 b:1:0.5\nb:1:0.375 c:2:0.625\nd:1:0.5\n",
+        "a 3\nb 2\nc 5\nd 7\n",
+    )
+    order = total_order(db)
+    singles = {item: plist for item, (plist, _) in
+               build_single_item_lists(item_columns(db, order.items), order).items()}
+    a_c, _ = construct(singles["a"], singles["c"])
+    joins = [("d", "a", 0), ("a", "c", 1), ("a", "b", 2), ("c", "b", 2)]
+    cases = [(singles[x], singles[y], n) for x, y, n in joins] + [(a_c, singles["b"], 1)]
+    for xa, b, support in cases:
+        rows = [(i, b.tids.index(tid)) for i, tid in enumerate(xa.tids) if tid in b.tids]
+        pro = [xa.pro[i] * b.pro[row] for i, row in rows]
+        uo = [xa.uo[i] + b.uo[row] for i, row in rows]
+        plist, summary = construct(xa, b, summary_only=summary_only)
+        assert plist.tids == [xa.tids[i] for i, _ in rows]
+        assert summary.support == plist.support == support
+        assert summary.probability.hex() == sum(pro, 0.0).hex()
+        assert summary.occupancy.hex() == (sum(uo) / support if support else 0.0).hex()
+        if summary_only:
+            assert plist.pro is plist.uo is plist.rows is plist.ruo is None
+            continue
+        assert (_hexes(plist.pro), _hexes(plist.uo)) == (_hexes(pro), _hexes(uo))
+        assert plist.rows == tuple(row for _, row in rows)
+        assert _hexes(plist.ruo) == _hexes(b.ruo[row] for _, row in rows)
 
 
 def _chain_lists(db):
