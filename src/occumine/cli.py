@@ -1,7 +1,7 @@
 """Command-line surface: mine, oracle, stats, bench, generate, augment.
 
 Exit codes: 0 success, 1 input/validation failure, 2 bad flags or plan,
-3 oracle enumeration budget exceeded.
+3 oracle enumeration budget exceeded, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -273,6 +273,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OccumineError, OSError, ValueError) as exc:
         print(f"occumine: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("occumine: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -19,9 +19,14 @@ breaks a rule of the model reads as ``validate_database`` words it.
 
 Transactions are parsed as bytes, in blocks of raw lines (comment and
 blank lines count), each converted whole by a few C-level calls after
-one shape check.  A block that is not ASCII, holds a ``#`` or fails any
-check is decoded and parsed token by token by the reference parser, so
-the database and every error are the same on either path.
+one shape check.  Each distinct quantity and probability field is
+converted and checked once per parse, in a table per column that stops
+growing at ``_TABLE_MAX`` fields (past it, a block converts field by
+field), and equal fields share one value; each column of the database
+is copied once, from the blocks' columns.  A block that is not ASCII,
+holds a ``#`` or fails any check is decoded and parsed token by token
+by the reference parser, so the database and every error are the same
+on either path.
 
 Probabilities are written with however many digits round-trip exactly,
 and the parser accepts full precision, so parse(write(db)) == db for
@@ -38,7 +43,7 @@ from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import add, floordiv, mul
 from pathlib import Path
 
@@ -70,6 +75,55 @@ _FIELD_BYTES = bytes(c for c in range(256) if c not in _SPACES and c != _COLON)
 #: then the occurrence columns, as a :class:`TransactionTable` of that
 #: block alone takes them.
 _Block = tuple[Sequence[int], Sequence[float], Sequence[str], Sequence[int], Sequence[float]]
+
+#: The size at which a :class:`_Table` stops growing: a block that finds
+#: its table this full converts that column field by field, so a table
+#: holds at most this many fields and one block's more, and an input of
+#: distinct values costs about what it would without one.  It is above the
+#: 10**4 values a probability of four decimals can take.
+_TABLE_MAX = 1 << 14
+
+
+class _Table(dict):
+    """One column's values over a whole parse, keyed by field: each
+    distinct field is converted and checked once, so equal fields share
+    one object.  A subclass gives ``convert``, the range ``(low, high]``
+    of one value, and ``valid``, the same rule over a whole column.  A
+    field that does not convert or is out of range raises ``ValueError``.
+    """
+
+    def __missing__(self, field: bytes):
+        value = self.convert(field)
+        if not self.low < value <= self.high:  # a NaN is in no range
+            raise ValueError(field)
+        self[field] = value
+        return value
+
+    def column(self, fields: list[bytes]) -> tuple:
+        """``fields`` as values, looked up while the table has room."""
+        if len(self) < _TABLE_MAX:
+            return tuple(map(self.__getitem__, fields))
+        values = tuple(map(self.convert, fields))
+        if not self.valid(values):
+            raise ValueError("a field out of range")
+        return values
+
+
+class _Quantities(_Table):
+    convert, low, high = int, 0, math.inf
+
+    @staticmethod
+    def valid(values: tuple) -> bool:
+        return min(values) >= 1
+
+
+class _Probabilities(_Table):
+    convert, low, high = float, 0.0, 1.0
+
+    @staticmethod
+    def valid(values: tuple) -> bool:
+        # A NaN can slip past min and max, but not past its sum.
+        return min(values) > 0.0 and max(values) <= 1.0 and not math.isnan(sum(values))
 
 
 def _decode(text: str | bytes) -> str:
@@ -195,22 +249,28 @@ def _parse_tokens(numbered_lines, utilities: dict[str, float]) -> _Block:
 
 
 def _parse_block(
-    lines: list[bytes], utilities: dict[str, float], ids: dict[bytes, str]
+    lines: list[bytes],
+    utilities: dict[str, float],
+    ids: dict[bytes, str],
+    quantity_table: _Table,
+    probability_table: _Table,
 ) -> _Block | None:
     """Parse a block of raw lines as whole columns, or return None.
 
     ``ids`` maps each item of ``utilities``, encoded, to the key itself,
     so the database holds one string per distinct item, not one per
-    occurrence.  The block is equal bit for bit to the one
-    :func:`_parse_tokens` returns for the same lines:
-    each total is summed left to right as the token loop sums it (``sum``
-    is compensated on Python 3.12+, so it can differ).
+    occurrence; the two tables convert and check the quantity and the
+    probability fields, so it holds one value per distinct field too.  The
+    block is equal bit for bit to the one :func:`_parse_tokens` returns
+    for the same lines: each total is summed left to right as the token
+    loop sums it (``sum`` is compensated on Python 3.12+, so it can
+    differ).
 
     Every step is a C-level call, or a ``map``, over the whole block, so
-    no Python code runs per line or per token.  Returns None, without
-    saying where, for a block that is not ASCII, holds a ``#``, or fails
-    any check; the caller then parses it token by token to locate the
-    error.
+    no Python code runs per line or per token, only per new field of a
+    table.  Returns None, without saying where, for a block that is not
+    ASCII, holds a ``#``, or fails any check; the caller then parses it
+    token by token to locate the error.
     """
     block = b"\n".join(lines)
     if not block.isascii() or b"#" in block:
@@ -237,18 +297,10 @@ def _parse_block(
         return [], [], (), (), ()
     try:
         items = tuple(map(ids.__getitem__, fields[0::3]))
-        quantities = tuple(map(int, fields[1::3]))
-        probabilities = tuple(map(float, fields[2::3]))
+        quantities = quantity_table.column(fields[1::3])
+        probabilities = probability_table.column(fields[2::3])
         products = tuple(map(mul, quantities, map(utilities.__getitem__, items)))
     except (ValueError, KeyError, OverflowError):
-        return None
-    # A NaN probability can slip past min and max, but not past its sum.
-    if not (
-        min(quantities) >= 1
-        and min(probabilities) > 0.0
-        and max(probabilities) <= 1.0
-        and not math.isnan(sum(probabilities))
-    ):
         return None
     # Every token has two colons, so a content line's colons count its
     # tokens twice, and a blank line has none.
@@ -278,34 +330,38 @@ def parse_database(
     them.  The bytes are split into blocks of :data:`_BLOCK_LINES` raw
     lines, comment and blank lines included, and each block is converted
     whole, one column at a time (:func:`_parse_block`), so the working
-    set stays one block's fields however large the input.  Each block's
-    columns are appended to the database-wide ones; no per-line object
-    outlives its block.  A block that is not ASCII, holds a ``#`` or
-    fails any check is decoded and parsed again by :func:`_parse_tokens`,
-    the reference parser, which raises the error with its file line and
-    column.  The database records an empty validation verdict, so
-    ``mine`` does not validate it again.
+    set stays one block's fields however large the input.  Quantity and
+    probability fields are converted through one :class:`_Table` per
+    column for the whole parse: a field spelled as an earlier one costs
+    a lookup and shares its value, and a table that reaches
+    :data:`_TABLE_MAX` entries leaves later blocks to convert field by
+    field.  Each block's columns are kept, and each database column is
+    joined from them in one copy once the last block is parsed; no
+    per-line object outlives its block.  A block that is not ASCII,
+    holds a ``#`` or fails any check is decoded and parsed again by
+    :func:`_parse_tokens`, the reference parser, which raises the error
+    with its file line and column.  The database records an empty
+    validation verdict, so ``mine`` does not validate it again.
     """
     utilities = parse_utilities(utility_text)
     ids = {item.encode(): item for item in utilities}
+    tables = (_Quantities(), _Probabilities())
 
-    ends, totals, items, quantities, probabilities = [], [], [], [], []
+    blocks, occurrences = [], 0
     raw_lines = _encode(transactions_text).split(b"\n")
     for first in range(0, len(raw_lines), _BLOCK_LINES):
         lines = raw_lines[first : first + _BLOCK_LINES]
-        block = _parse_block(lines, utilities, ids)
+        block = _parse_block(lines, utilities, ids, *tables)
         if block is None:
             text = b"\n".join(lines).decode("utf-8", "surrogatepass")
             block = _parse_tokens(_lines(text, first + 1), utilities)
-        block_ends, block_totals, block_items, block_quantities, block_probabilities = block
-        ends.extend(map(add, block_ends, repeat(len(items))))
-        items.extend(block_items)
-        quantities.extend(block_quantities)
-        probabilities.extend(block_probabilities)
-        totals.extend(block_totals)
-    # Free the lines before the table copies the columns: that is the peak.
+        ends, totals, items, quantities, probabilities = block
+        ends = tuple(map(add, ends, repeat(occurrences)))
+        blocks.append((ends, totals, items, quantities, probabilities))
+        occurrences += len(items)
+    # Free the lines before the columns are joined: that is the peak.
     del raw_lines
-    table = TransactionTable(ends, totals, items, quantities, probabilities)
+    table = TransactionTable(*(tuple(chain.from_iterable(column)) for column in zip(*blocks)))
     db = UncertainDatabase(table, utilities)
     # Every value passed the rules validate_database checks.
     db.record_verdict(())

@@ -270,15 +270,16 @@ def build_database(
     utility is :func:`transaction_utility`.  Raises
     ``KeyError`` when an item has no utility entry, and ``ValueError``
     naming the row whose total utility is not a finite number, which no
-    database file can hold.  Structural invariants beyond these are the
-    caller's job (see :func:`validate_database`).
+    database file can hold, in :func:`total_faults`' words.  Structural
+    invariants beyond these are the caller's job (see
+    :func:`validate_database`).
     """
     transactions = []
     for tid, row in enumerate(rows, start=1):
         items, quantities, probabilities = zip(*row) if row else ((), (), ())
         tu = transaction_utility(items, quantities, unit_utilities)
         if not math.isfinite(tu):
-            raise ValueError(f"row {tid}: total utility is not a finite number")
+            raise ValueError(f"row {tid}: {_NOT_FINITE_TOTAL}")
         transactions.append(Transaction(items, quantities, probabilities, tu))
     return UncertainDatabase(tuple(transactions), unit_utilities)
 
@@ -436,10 +437,14 @@ def occurrence_faults(item, quantity, probability, seen: set, utilities: Mapping
         yield "missing utility entry"
 
 
+#: The words of the finite-total rule, which :func:`build_database` raises too.
+_NOT_FINITE_TOTAL = "transaction utility is not a finite number"
+
+
 def total_faults(total: float, tu: float) -> Iterator[str]:
     """The rules a transaction breaks by its left-to-right ``total`` and stored ``tu``."""
     if not (math.isfinite(total) and math.isfinite(tu)):
-        yield "transaction utility is not a finite number"
+        yield _NOT_FINITE_TOTAL
     elif abs(total - tu) > TOL * max(1.0, abs(total)):
         yield f"stored tu {tu} does not match recomputed {total}"
     if total <= 0.0:

@@ -1,12 +1,18 @@
 import csv
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
-from occumine import PRESETS, Thresholds, mine
+import occumine.cli as cli_module
+from occumine import PRESETS, GeneratorConfig, Thresholds, generate, mine, save_database
 from occumine.cli import main
 
-from conftest import EXAMPLE_TRANSACTIONS, EXAMPLE_UTILITIES
+from conftest import EXAMPLE_TRANSACTIONS, EXAMPLE_UTILITIES, REPO_ROOT
 
 EXAMPLE_FLAGS = ["--data", str(EXAMPLE_TRANSACTIONS), "--utility", str(EXAMPLE_UTILITIES)]
 
@@ -618,3 +624,49 @@ def test_augment_command(tmp_path, capsys):
     assert code == 0
     assert "transactions=3" in out
     assert "items=4" in out
+
+
+def test_interrupted_command_exits_130(monkeypatch, capsys):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli_module, "mine", interrupted)
+    try:
+        code, out, err = run(["mine", *EXAMPLE_FLAGS, "--alpha", "0.5", "--beta", "0.5",
+                              "--gamma", "0"], capsys)
+    except KeyboardInterrupt:  # not let through to the test session
+        pytest.fail("main let KeyboardInterrupt through")
+    assert code == 130
+    assert out == ""
+    assert err == "occumine: interrupted\n"
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="sends SIGINT")
+def test_sigint_stops_a_running_mine_with_exit_130(tmp_path):
+    # 18 items in transactions of about 16: s1 visits most of the 262,143
+    # itemsets, several seconds of search, so the signal lands inside it.
+    data, utility = tmp_path / "deep.txt", tmp_path / "deep_utility.txt"
+    config = GeneratorConfig(seed=5, num_transactions=300, num_items=18,
+                             avg_transaction_length=16)
+    save_database(generate(config), data, utility)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "occumine.cli", "mine", "--data", str(data),
+         "--utility", str(utility), "--alpha", "0.01", "--beta", "1", "--gamma", "0",
+         "--strategies", "s1"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        time.sleep(1.0)
+        assert child.poll() is None, "mine ended before the signal"
+        child.send_signal(signal.SIGINT)
+        out, err = child.communicate(timeout=60)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.communicate()
+    assert child.returncode == 130
+    assert out == ""
+    assert err == "occumine: interrupted\n"

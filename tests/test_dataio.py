@@ -157,6 +157,43 @@ def test_error_on_last_line_of_second_block_names_file_line_and_column():
     _assert_block_edge_error(2 * dataio._BLOCK_LINES - 1)
 
 
+@pytest.mark.parametrize("table_max", [1, dataio._TABLE_MAX])
+@pytest.mark.parametrize("block_lines", [1, dataio._BLOCK_LINES])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("b:0:0.5", "quantity 0 below 1"),
+        ("b:1:1.5", "probability 1.5 outside (0, 1]"),
+        ("b:1:nan", "probability nan outside (0, 1]"),
+        ("b:1:0.5e", "probability '0.5e' is not a number"),
+    ],
+)
+def test_bad_field_after_a_converted_good_one_fails_at_its_token(
+    monkeypatch, bad, message, table_max, block_lines
+):
+    # Line 1 puts "1" and "0.5" in the tables; with a table limit of 1 the
+    # later blocks convert field by field.
+    monkeypatch.setattr(dataio, "_TABLE_MAX", table_max)
+    monkeypatch.setattr(dataio, "_BLOCK_LINES", block_lines)
+    text = f"a:1:0.5\na:1:0.5 {bad}\n"
+    with pytest.raises(ParseError) as info:
+        parse_database(text, "a 1\nb 1\n")
+    expected = _token_block(text, "a 1\nb 1\n")
+    assert (info.value.line, info.value.column) == (2, 9)
+    assert str(info.value) == str(expected) == f"line 2, column 9: {message}"
+
+
+def test_equal_probability_fields_share_one_float():
+    config = GeneratorConfig(
+        seed=3, num_transactions=2 * dataio._BLOCK_LINES, num_items=40, avg_transaction_length=4.0
+    )
+    data_text, utility_text = write_database(generate(config))
+    fields = {token.rsplit(":", 1)[1] for token in data_text.split()}
+    db = parse_database(data_text, utility_text)
+    assert len(db.transactions.probabilities) > 2 * len(fields)
+    assert len({id(p) for p in db.transactions.probabilities}) == len(fields)
+
+
 def test_total_utility_is_summed_left_to_right():
     # 1e16 + 1 rounds back to 1e16, so the left-to-right total is 1e16;
     # a compensated sum (sum() on Python 3.12+, math.fsum) gives 1e16 + 2.

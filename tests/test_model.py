@@ -129,7 +129,7 @@ def test_non_finite_utility_is_flagged():
 
 @pytest.mark.parametrize("value", [1e308, math.inf, math.nan])
 def test_build_database_refuses_a_non_finite_total(value):
-    with pytest.raises(ValueError, match=r"^row 2: total utility is not a finite number$"):
+    with pytest.raises(ValueError, match=r"^row 2: transaction utility is not a finite number$"):
         build_database([[("b", 1, 0.5)], [("b", 1, 0.5), ("a", 2, 0.5)]], {"a": value, "b": 1.0})
 
 

@@ -858,6 +858,17 @@ def spelled_inputs(draw):
     if not clean:
         quantities += ["0", "9" * 400, "x"]
         probabilities += ["nan", "inf", "1e-400", "1.5"]
+    # Many distinct spellings, and several of one value: leading zeros on
+    # quantities, full precision and trailing zeros on probabilities.
+    zeros = st.integers(0, 3).map("0".__mul__)
+    quantity = st.one_of(
+        st.sampled_from(quantities), st.builds("{}{}".format, zeros, st.integers(1, 10**6))
+    )
+    probability = st.one_of(
+        st.sampled_from(probabilities),
+        st.floats(1e-3, 1.0).map(repr),
+        st.builds("0.{:04d}{}".format, st.integers(1, 9999), zeros),
+    )
     items = ["a", "b", "c"] if clean else ["a", "b", "c", "d", "q-x"]
     space = st.sampled_from(
         [" ", "  ", "\t", "\x0b", "\x1c", "\x1f", "\xa0", "\u2028", " \t"]
@@ -876,9 +887,7 @@ def spelled_inputs(draw):
             )
             fields = []
             for item in line_items:
-                fields += [
-                    item, draw(st.sampled_from(quantities)), draw(st.sampled_from(probabilities))
-                ]
+                fields += [item, draw(quantity), draw(probability)]
             separators = []
             for _ in line_items:
                 separators += [":", ":", draw(space)]
@@ -936,8 +945,25 @@ def _token_parse(data, utility):
     block_lines=st.sampled_from([1, 2, 3, dataio._BLOCK_LINES]),
 )
 def test_block_parser_equals_token_parser(texts, block_lines):
+    _assert_parses_as_token_parser(texts, block_lines, dataio._TABLE_MAX)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    texts=st.one_of(fuzzed_inputs(), parser_inputs(), spelled_inputs()),
+    block_lines=st.sampled_from([1, 2, 3]),
+)
+def test_block_parser_equals_token_parser_past_the_table_limit(texts, block_lines):
+    # A table full after the first block leaves the later ones to convert
+    # field by field, so both paths meet in one input.
+    _assert_parses_as_token_parser(texts, block_lines, 2)
+
+
+def _assert_parses_as_token_parser(texts, block_lines, table_max):
     expected = _outcome(_token_parse, *texts)
-    with mock.patch.object(dataio, "_BLOCK_LINES", block_lines):
+    with mock.patch.object(dataio, "_BLOCK_LINES", block_lines), mock.patch.object(
+        dataio, "_TABLE_MAX", table_max
+    ):
         got = _outcome(parse_database, *texts)
     if isinstance(expected, Exception):
         assert type(got) is type(expected)
