@@ -87,7 +87,10 @@ def upper_bound(plist: PatternList, min_sup_count: int) -> float:
     extension's numerator.  Summed in another order than an extension's
     occupancy, the bound can land ulps below it in floats, so the search
     prunes only below ``min_bound`` (:meth:`Thresholds.cutoffs`).
+    Raises ``ValueError`` if ``min_sup_count`` is below 1.
     """
+    if min_sup_count < 1:
+        raise ValueError(f"min_sup_count must be >= 1, got {min_sup_count}")
     top = sorted(map(add, plist.uo, plist.ruo), reverse=True)[:min_sup_count]
     return sum(top) / min_sup_count
 

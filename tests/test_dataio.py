@@ -166,6 +166,11 @@ def test_error_on_last_line_of_second_block_names_file_line_and_column():
         ("b:1:1.5", "probability 1.5 outside (0, 1]"),
         ("b:1:nan", "probability nan outside (0, 1]"),
         ("b:1:0.5e", "probability '0.5e' is not a number"),
+        ("b:1:inf", "probability inf outside (0, 1]"),
+        ("b:1:1e-400", "probability 0.0 outside (0, 1]"),  # reads as 0.0
+        ("b:1:-0.0", "probability -0.0 outside (0, 1]"),
+        ("b:-1:0.5", "quantity -1 below 1"),
+        (f"b:{'9' * 401}:0.5", "quantity out of range (beyond the float range)"),
     ],
 )
 def test_bad_field_after_a_converted_good_one_fails_at_its_token(
@@ -520,6 +525,15 @@ def test_mean_length_beyond_float_resolution_clamps_to_the_item_count():
         GeneratorConfig(seed=2, num_transactions=6, num_items=4, avg_transaction_length=1e308)
     )
     assert [len(t) for t in db.transactions] == [4] * 6
+    assert validate_database(db) == []
+
+
+def test_mean_length_of_one_gives_one_item_per_transaction():
+    db = generate(
+        GeneratorConfig(seed=2, num_transactions=30, num_items=8, avg_transaction_length=1.0)
+    )
+    assert [len(t) for t in db.transactions] == [1] * 30
+    assert len({t.occurrences[0].item for t in db.transactions}) > 1
     assert validate_database(db) == []
 
 

@@ -48,6 +48,16 @@ def test_upper_bound_short_list(example_db):
     assert upper_bound(e_list, 9) == pytest.approx(total / 9, abs=1e-12)
 
 
+@pytest.mark.parametrize("min_sup_count", [0, -1])
+def test_upper_bound_refuses_a_support_minimum_below_1(example_db, min_sup_count):
+    # 0 would divide by zero, and -1 would bound b's list at -3.12, below
+    # every occupancy it must dominate.
+    order = total_order(example_db)
+    singles = build_single_item_lists(item_columns(example_db, order.items), order)
+    with pytest.raises(ValueError, match=f"^min_sup_count must be >= 1, got {min_sup_count}$"):
+        upper_bound(singles["b"][0], min_sup_count)
+
+
 def test_upper_bound_empty_list(example_db):
     from occumine.lists import PatternList
 
