@@ -131,18 +131,18 @@ def parse_plan(text: str | bytes) -> BenchPlan:
     try:
         text = _decode(text)
     except ParseError as exc:
-        raise PlanError(str(exc)) from None
+        raise PlanError(exc.args[0], exc.line) from None
     values: dict[str, str] = {}
     for number, line in _lines(text):
         line = line.strip()
         if "=" not in line:
-            raise PlanError(f"line {number}: expected key=value, got {line!r}")
+            raise PlanError(f"expected key=value, got {line!r}", number)
         key, _, value = line.partition("=")
         key = key.strip()
         if key in values:
-            raise PlanError(f"line {number}: key {key!r} is given twice")
+            raise PlanError(f"key {key!r} is given twice", number)
         if key not in PLAN_KEYS:
-            raise PlanError(f"line {number}: unknown key {key!r} (known: {', '.join(PLAN_KEYS)})")
+            raise PlanError(f"unknown key {key!r} (known: {', '.join(PLAN_KEYS)})", number)
         values[key] = value.strip()
     return plan_from_values(values)
 

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 input/validation failure, 2 bad flags or plan,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from functools import reduce
@@ -95,11 +96,13 @@ def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
+    # The parser takes argument_default=SUPPRESS, so a flag left out is
+    # not in the namespace and GeneratorConfig's default holds.
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--max-quantity", type=int, default=5)
-    parser.add_argument("--max-utility", type=int, default=20)
-    parser.add_argument("--prob-min", type=float, default=0.1)
-    parser.add_argument("--prob-max", type=float, default=1.0)
+    parser.add_argument("--max-quantity", type=int)
+    parser.add_argument("--max-utility", type=int, dest="max_unit_utility")
+    parser.add_argument("--prob-min", type=float)
+    parser.add_argument("--prob-max", type=float)
     parser.add_argument("--data", required=True, help="output transactions file")
     parser.add_argument("--utility", required=True, help="output unit-utility file")
     parser.set_defaults(build_model=_generator_config, subparser=parser)
@@ -110,16 +113,8 @@ def _thresholds(args: argparse.Namespace) -> Thresholds:
 
 
 def _generator_config(args: argparse.Namespace) -> GeneratorConfig:
-    return GeneratorConfig(
-        seed=args.seed,
-        num_transactions=args.transactions,
-        num_items=args.items,
-        avg_transaction_length=args.avg_length,
-        max_quantity=args.max_quantity,
-        max_unit_utility=args.max_utility,
-        prob_min=args.prob_min,
-        prob_max=args.prob_max,
-    )
+    names = (field.name for field in dataclasses.fields(GeneratorConfig))
+    return GeneratorConfig(**{name: getattr(args, name) for name in names if name in args})
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
@@ -234,20 +229,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--output", help="write CSV here instead of stdout")
     p_bench.set_defaults(func=_cmd_bench)
 
-    p_gen = sub.add_parser("generate", help="generate a synthetic database")
-    p_gen.add_argument("--transactions", type=int, required=True)
-    p_gen.add_argument("--items", type=int, required=True)
+    p_gen = sub.add_parser("generate", help="generate a synthetic database",
+                           argument_default=argparse.SUPPRESS)
+    p_gen.add_argument("--transactions", type=int, required=True, dest="num_transactions")
+    p_gen.add_argument("--items", type=int, required=True, dest="num_items")
     p_gen.add_argument("--avg-length", type=float, required=True,
+                       dest="avg_transaction_length",
                        help="mean transaction length, a finite number >= 1")
     _add_generator_flags(p_gen)
     p_gen.set_defaults(func=_cmd_generate)
 
     p_aug = sub.add_parser("augment", help="attach quantities/probabilities/utilities "
-                                           "to plain transactions")
+                                           "to plain transactions",
+                           argument_default=argparse.SUPPRESS)
     p_aug.add_argument("--input", required=True, help="plain transactions, items per line")
     _add_generator_flags(p_aug)
     # augment draws no transaction, so the generator's shape is moot.
-    p_aug.set_defaults(func=_cmd_augment, transactions=0, items=1, avg_length=1.0)
+    p_aug.set_defaults(func=_cmd_augment, num_transactions=0, num_items=1,
+                       avg_transaction_length=1.0)
 
     return parser
 

@@ -47,7 +47,7 @@ from itertools import accumulate, chain, repeat
 from operator import add, floordiv, mul
 from pathlib import Path
 
-from .errors import DatabaseValidationError, MissingUtilityError, ParseError
+from .errors import DatabaseValidationError, InputError, MissingUtilityError, ParseError
 from .model import TransactionTable, UncertainDatabase, _spans, build_database, validate_database
 from .model import occurrence_faults, total_faults, unit_utility_faults
 
@@ -114,8 +114,10 @@ class _Table(dict):
             return tuple(map(self.__getitem__, fields))
         values = tuple(map(self.convert, fields))
         # The same range over the whole column; a NaN can slip past min
-        # and max, but not past the sum.
-        if not (self.low < min(values) and max(values) <= self.high) or math.isnan(sum(values)):
+        # and max, but not past the sum, which only a NaN makes unequal to
+        # itself (an int sum is never converted, so it cannot overflow).
+        total = sum(values)
+        if not (self.low < min(values) and max(values) <= self.high) or total != total:
             raise ValueError("a field out of range")
         return values
 
@@ -162,6 +164,13 @@ def _raise_first(faults: Iterator[str], line: int, column: int | None = None) ->
         raise ParseError(fault, line, column)
 
 
+def _item_id(token: str, line: int, column: int) -> str:
+    """``token`` if it is an item id, else a ParseError at its line and column."""
+    if not _ITEM_RE.match(token):
+        raise ParseError(f"invalid item id {token!r}", line, column)
+    return token
+
+
 def parse_utilities(utility_text: str | bytes) -> dict[str, float]:
     """Parse the unit-utility table format."""
     utilities: dict[str, float] = {}
@@ -172,8 +181,7 @@ def parse_utilities(utility_text: str | bytes) -> dict[str, float]:
                 f"expected 'item unit-utility', got {len(tokens)} tokens", number
             )
         (item, item_col), (value_text, value_col) = tokens
-        if not _ITEM_RE.match(item):
-            raise ParseError(f"invalid item id {item!r}", number, item_col)
+        item = _item_id(item, number, item_col)
         if item in utilities:
             raise ParseError(f"duplicate utility entry for {item!r}", number, item_col)
         try:
@@ -209,11 +217,9 @@ def _parse_tokens(numbered_lines, utilities: dict[str, float]) -> _Block:
                 )
             item, quantity_text, probability_text = parts
             if item not in utilities:
-                # Every utility key already matched _ITEM_RE, so only an
-                # unknown item needs the regex.
-                if not _ITEM_RE.match(item):
-                    raise ParseError(f"invalid item id {item!r}", number, column)
-                raise MissingUtilityError(item, number, column)
+                # Every utility key is already an item id, so only an
+                # unknown item needs the check.
+                raise MissingUtilityError(_item_id(item, number, column), number, column)
             try:
                 quantity = int(quantity_text)
             except ValueError:
@@ -373,7 +379,7 @@ def load_database(data_path: str | Path, utility_path: str | Path) -> UncertainD
     utility = Path(utility_path).read_bytes()
     try:
         return parse_database(data, utility)
-    except (ParseError, MissingUtilityError) as exc:
+    except InputError as exc:
         exc.path = str(data_path)
         try:
             parse_utilities(utility)
@@ -439,7 +445,12 @@ def save_database(
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Knobs for the synthetic database generator."""
+    """Knobs for the synthetic database generator.
+
+    Its defaults are the generator's, for the library and for
+    ``occumine generate`` and ``augment`` alike: the CLI passes only the
+    flags given, so a flag left out takes the default stated here.
+    """
 
     seed: int
     num_transactions: int
@@ -568,12 +579,7 @@ def augment(plain_text: str | bytes, config: GeneratorConfig) -> UncertainDataba
     token_rows: list[list[str]] = []
     universe: set[str] = set()
     for number, line in _lines(_decode(plain_text)):
-        tokens = []
-        for match in _TOKEN_RE.finditer(line):
-            token, column = match.group(), match.start() + 1
-            if not _ITEM_RE.match(token):
-                raise ParseError(f"invalid item id {token!r}", number, column)
-            tokens.append(token)
+        tokens = [_item_id(m.group(), number, m.start() + 1) for m in _TOKEN_RE.finditer(line)]
         token_rows.append(tokens)
         universe.update(tokens)
 

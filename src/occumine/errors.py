@@ -8,45 +8,41 @@ class OccumineError(Exception):
 class InputError(OccumineError):
     """A fault in the content of an input file.
 
-    ``path`` is ``None`` until the reader that opened the file sets it;
-    from then on the message starts with it, as the user gave it.
+    Carries the 1-based ``line`` and ``column`` of the fault where they
+    are known, else ``None``.  ``path`` is ``None`` until the reader that
+    opened the file sets it.  The message reads
+    ``path: line L, column C: message``, each part present when known.
     """
 
     path: str | None = None
 
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        super().__init__(message)
+        self.line = line
+        self.column = column
+
     def __str__(self) -> str:
         message = super().__str__()
+        if self.line is not None:
+            column = "" if self.column is None else f", column {self.column}"
+            message = f"line {self.line}{column}: {message}"
         return message if self.path is None else f"{self.path}: {message}"
 
 
 class ParseError(InputError):
-    """Malformed input file.
-
-    Carries the 1-based line number and, where it applies, the 1-based
-    column of the offending token.
-    """
-
-    def __init__(self, message: str, line: int, column: int | None = None):
-        self.line = line
-        self.column = column
-        where = f"line {line}" if column is None else f"line {line}, column {column}"
-        super().__init__(f"{where}: {message}")
+    """Malformed input file."""
 
 
 class MissingUtilityError(InputError):
     """An item occurs in the data but has no unit-utility entry.
 
-    Carries, when raised by the parser, the 1-based line number and
-    column of the item's token.
+    Carries the ``item``, and, when raised by the parser, the line and
+    column of its token.
     """
 
     def __init__(self, item: str, line: int | None = None, column: int | None = None):
         self.item = item
-        self.line = line
-        self.column = column
-        where = ", ".join(f"{name} {at}" for name, at in (("line", line), ("column", column)) if at)
-        suffix = f" ({where})" if where else ""
-        super().__init__(f"no unit utility defined for item {item!r}{suffix}")
+        super().__init__(f"no unit utility defined for item {item!r}", line, column)
 
 
 class DatabaseValidationError(OccumineError):

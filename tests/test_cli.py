@@ -9,8 +9,17 @@ import time
 import pytest
 
 import occumine.cli as cli_module
-from occumine import PRESETS, GeneratorConfig, Thresholds, generate, mine, save_database
-from occumine.cli import main
+from occumine import (
+    PRESETS,
+    GeneratorConfig,
+    PlanError,
+    Thresholds,
+    augment,
+    generate,
+    mine,
+    save_database,
+)
+from occumine.cli import main, render_patterns
 
 from conftest import EXAMPLE_TRANSACTIONS, EXAMPLE_UTILITIES, REPO_ROOT
 
@@ -149,20 +158,24 @@ def test_mine_invalid_utf8_exits_1_naming_the_line(tmp_path, capsys, bad_file):
         ("a:1:0.5 a:2:0.5\n", "a 1\n", "data", "line 1, column 9: duplicate item in transaction"),
         ("a:1:0.5\n", "a -1\n", "utility", "line 1, column 3: unit utility is negative"),
         ("a:1:0.5 b:1:0.5\n", "a 1\n", "data",
-         "no unit utility defined for item 'b' (line 1, column 9)"),
+         "line 1, column 9: no unit utility defined for item 'b'"),
+        # The plan names the two good files above, then breaks on line 3.
+        ("a:1:0.5\n", "a 1\n", "plan", "line 3: expected key=value, got 'alphas 0.5'"),
     ],
 )
 def test_mine_parse_error_names_the_file(tmp_path, capsys, data_text, utility_text, bad_file,
                                          message):
-    paths = {"data": tmp_path / "data.txt", "utility": tmp_path / "utility.txt"}
+    # Every located input fault reads "path: line L[, column C]: message".
+    paths = {name: tmp_path / f"{name}.txt" for name in ("data", "utility", "plan")}
     paths["data"].write_text(data_text)
     paths["utility"].write_text(utility_text)
-    code, out, err = run(
-        ["mine", "--data", str(paths["data"]), "--utility", str(paths["utility"]),
-         "--alpha", "0.5", "--beta", "0.1", "--gamma", "0"],
-        capsys,
-    )
-    assert (code, out, err) == (1, "", f"occumine: {paths[bad_file]}: {message}\n")
+    paths["plan"].write_text(f"data = {paths['data']}\nutility = {paths['utility']}\nalphas 0.5\n")
+    if bad_file == "plan":
+        argv, status = ["bench", "--plan", str(paths["plan"])], 2
+    else:
+        argv, status = ["mine", "--data", str(paths["data"]), "--utility", str(paths["utility"]),
+                        "--alpha", "0.5", "--beta", "0.1", "--gamma", "0"], 1
+    assert run(argv, capsys) == (status, "", f"occumine: {paths[bad_file]}: {message}\n")
 
 
 def test_mine_underflowing_probabilities(tmp_path, capsys):
@@ -406,6 +419,16 @@ def test_bench_plan_file_not_utf8_exits_2(tmp_path, capsys):
     assert (code, out, err) == (2, "", f"occumine: {plan}: line 1: invalid UTF-8 byte 0xff\n")
 
 
+def test_plan_error_carries_the_line_at_fault():
+    from occumine.bench import parse_plan
+
+    for text, line in (("# a sweep\nalphas 0.3\n", 2), (b"alphas = 0.3\n\xff\n", 2)):
+        with pytest.raises(PlanError) as info:
+            parse_plan(text)
+        assert (info.value.line, info.value.column) == (line, None)
+        assert str(info.value).startswith(f"line {line}: ")
+
+
 def test_bench_plan_file_takes_no_plan_flag(tmp_path, capsys):
     plan = tmp_path / "plan.txt"
     plan.write_text(PLAN_TEXT)
@@ -607,6 +630,37 @@ def test_inverted_probability_range_exits_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert f"occumine {command}: error: prob_min 0.5 is above prob_max 0.4" in err
     assert not data.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "augment"])
+def test_generator_flags_default_to_generator_config(tmp_path, capsys, command):
+    # Left out, the four optional flags take GeneratorConfig's defaults.
+    plain = tmp_path / "plain.txt"
+    plain.write_text("1 5 9\n2 5\n9 1\n")
+    if command == "generate":
+        source = ["--transactions", "30", "--items", "8", "--avg-length", "3"]
+        config = GeneratorConfig(seed=4, num_transactions=30, num_items=8,
+                                 avg_transaction_length=3)
+        db = generate(config)
+    else:
+        source = ["--input", str(plain)]
+        config = GeneratorConfig(seed=4, num_transactions=0, num_items=1,
+                                 avg_transaction_length=1.0)
+        db = augment(plain.read_bytes(), config)
+    save_database(db, tmp_path / "lib.txt", tmp_path / "lib_u.txt")
+    defaults = ["--max-quantity", "5", "--max-utility", "20", "--prob-min", "0.1",
+                "--prob-max", "1.0"]
+    for name, flags in (("bare", []), ("given", defaults)):
+        data, utility = tmp_path / f"{name}.txt", tmp_path / f"{name}_u.txt"
+        assert run([command, "--seed", "4", *source, *flags, "--data", str(data),
+                    "--utility", str(utility)], capsys) == (0, "", "")
+        assert data.read_bytes() == (tmp_path / "lib.txt").read_bytes()
+        assert utility.read_bytes() == (tmp_path / "lib_u.txt").read_bytes()
+
+
+def test_render_patterns_refuses_an_unknown_format():
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        render_patterns((), "xml")
 
 
 def test_augment_command(tmp_path, capsys):

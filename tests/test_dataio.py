@@ -188,6 +188,25 @@ def test_bad_field_after_a_converted_good_one_fails_at_its_token(
     assert str(info.value) == str(expected) == f"line 2, column 9: {message}"
 
 
+def test_whole_column_range_check_takes_a_quantity_sum_beyond_the_float_range(monkeypatch):
+    # Quantities near 10**308 on an item of unit utility 0 are valid, but
+    # a block's quantity column sums past the float range.  The second
+    # block is converted field by field and must not fall back to the
+    # token parser.
+    monkeypatch.setattr(dataio, "_TABLE_MAX", 1)
+    monkeypatch.setattr(dataio, "_BLOCK_LINES", 2)
+    calls = []
+    parse_tokens = dataio._parse_tokens
+    monkeypatch.setattr(
+        dataio, "_parse_tokens", lambda *args: calls.append(args) or parse_tokens(*args)
+    )
+    huge = 10**308
+    db = parse_database(f"a:1:0.5 z:{huge}:0.5\n" * 4, "a 1\nz 0\n")
+    assert calls == []
+    assert list(db.transactions.quantities) == [1, huge] * 4
+    assert validate_database(db) == []
+
+
 def test_equal_probability_fields_share_one_float():
     config = GeneratorConfig(
         seed=3, num_transactions=2 * dataio._BLOCK_LINES, num_items=40, avg_transaction_length=4.0
@@ -215,7 +234,9 @@ def test_unknown_item_raises_missing_utility():
             parse_database(data, UTILITY_TEXT)
         assert info.value.item == "q"
         assert (info.value.line, info.value.column) == (line, column)
-        assert str(info.value).endswith(f"(line {line}, column {column})")
+        assert str(info.value) == (
+            f"line {line}, column {column}: no unit utility defined for item 'q'"
+        )
 
 
 def test_invalid_unknown_item_is_a_parse_error_at_its_column():
@@ -588,6 +609,15 @@ def test_augment_wide_line():
     line = " ".join(str(k) for k in range(23))
     db = augment(line + "\n", AUGMENT_CONFIG)
     assert len(db.transactions[0].occurrences) == 23
+
+
+def test_draw_length_is_1_for_a_draw_of_0():
+    class Zero:
+        def random(self):
+            return 0.0
+
+    config = GeneratorConfig(seed=1, num_transactions=1, num_items=9, avg_transaction_length=4.0)
+    assert dataio._draw_length(Zero(), config) == 1
 
 
 def test_augment_rejects_bad_token():

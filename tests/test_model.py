@@ -11,6 +11,7 @@ from occumine import (
     PatternRecord,
     Thresholds,
     UncertainDatabase,
+    Violation,
     build_database,
     mine,
     validate_database,
@@ -228,6 +229,16 @@ def test_pattern_equality_ignores_order():
     assert a == b
     assert hash(a) == hash(b)
     assert a.pattern == frozenset({"b", "c"})
+
+
+def test_pattern_is_not_equal_to_a_non_record():
+    record = PatternRecord(("b",), 3, 1.45, 0.65)
+    assert record.__eq__(("b",)) is NotImplemented
+    assert (record == ("b",)) is False
+
+
+def test_violation_without_context_reads_as_its_message():
+    assert str(Violation("m")) == "m"
 
 
 @pytest.mark.parametrize(
