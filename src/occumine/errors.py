@@ -1,8 +1,18 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class OccumineError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    A copy, by ``pickle`` or ``copy``, is rebuilt from the message in
+    ``args`` and the attributes, without calling ``__init__`` again,
+    whose parameters differ from ``args`` in some subclasses.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class InputError(OccumineError):

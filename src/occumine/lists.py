@@ -7,14 +7,17 @@ an int bitset.  Every longer pattern's list is derived by joining its
 prefix's list with the single-item list of the item that extends it, so
 k-itemsets never touch the database again.
 
-Lists for single items are filled from columns that :func:`item_columns`
-reads for items that occur, so no single-item list is empty: one C-level
-probe maps each occurrence to its item's column appenders (or to ``None``
-for an item not asked for), and one loop over the kept occurrences alone
-appends them, reading each transaction's tu by tid.  Each also holds a
-``ruo`` column, the remaining utility share of its item per transaction,
-summed rank by rank in a list indexed by tid, for every single-item list
-at once, the first time any list's ruo is read.
+One call, :func:`build_single_item_lists`, builds the list and summary
+of every ranked item that occurs, so no single-item list is empty: one
+C-level probe maps each occurrence to its item's column appenders (or to
+``None`` for an item not asked for), one loop over the kept occurrences
+alone appends them, reading each transaction's tu by tid, and, under
+probability pruning, an item below the probability minimum is dropped
+before any list exists.  Each list also holds a ``ruo`` column, the
+remaining utility share of its item per transaction, summed rank by rank
+in a list indexed by tid, for every single-item list at once, the first
+time any list's ruo is read.  Every summary, of a single item or of a
+join, comes from one rule, :func:`_summary`.
 
 A pattern's remaining utility share in a transaction is its last item's,
 so a joined list copies no ruo column: it keeps ``rows``, a tuple of its
@@ -33,7 +36,6 @@ from itertools import compress
 from operator import add, itemgetter, mul
 from typing import Iterable
 
-from .measures import TotalOrder
 from .model import UncertainDatabase
 
 
@@ -106,28 +108,44 @@ def _bitset(tids: list[int]) -> int:
     return int.from_bytes(buf, "little")
 
 
-#: Per item, the parallel columns ``(tids, pro, uo)`` of its occurrences,
-#: and the sum of ``pro``.
-ItemColumns = dict[str, tuple[list[int], list[float], list[float], float]]
+def _summary(n: int, pro: Iterable[float], uo: Iterable[float]) -> PatternSummary:
+    """The summary of a list of ``n`` rows with these ``pro`` and ``uo``
+    values: ``pro`` summed from 0.0 and ``uo``'s sum over ``n``, in row
+    order, the one rule for every list."""
+    return PatternSummary(n, sum(pro, 0.0), sum(uo) / n if n else 0.0)
 
 
-def item_columns(db: UncertainDatabase, items: Iterable[str]) -> ItemColumns:
-    """Read every occurrence of ``items`` from ``db``'s occurrence columns.
+def build_single_item_lists(
+    db: UncertainDatabase, items: Sequence[str], min_probability: float | None = None
+) -> dict[str, tuple[PatternList, PatternSummary]]:
+    """The vertical list and summary of each of ``items``, which are ranked
+    in the mining order and occur in ``db``, keyed in that order.
 
-    Only items that occur in ``db`` may be asked for.  Each item gets
-    ascending tids, its probability there, its uo, quantity * unit
-    utility / tu, there, and its summed probability.  One probe of the
-    item column maps each occurrence to the appenders of its item's
-    columns, or to ``None``; one loop then appends each kept occurrence,
-    reading its transaction's tu by tid.  Occurrences of other items are
-    skipped; they still count in tu, which covers the whole transaction.
+    One probe of the item column maps each occurrence to the appenders of
+    its item's columns, or to ``None``; one loop then appends each kept
+    occurrence: its tid, its probability and its uo, quantity * unit
+    utility / tu, reading its transaction's tu by tid.  Occurrences of
+    other items are skipped; they still count in tu, which covers the
+    whole transaction.  With ``min_probability``, an item whose summed
+    probability is below it is dropped there, before any list or ruo
+    exists: it gets no list and counts in no other item's ruo.
+
+    An item's ruo sums the uo of the kept items after it in the same
+    transaction.  Only the occupancy bound reads ruo, so every list's ruo
+    column is summed the first time any list's ruo is read (see
+    ``PatternList.fill_ruo``), never in a run that does not read it.
+    Items are walked from the last rank to the first, and ``tail[tid]``,
+    a list indexed by tid, sums the uo of those already walked: each tail
+    takes the same additions, in the same order, as a left-to-right sum
+    over a transaction's kept occurrences in descending rank, so ruo is
+    bit-identical to that sum.
     """
     utilities = db.unit_utilities
     table = db.transactions
-    filled = {item: ([], [], []) for item in items}
+    columns = {item: ([], [], [], []) for item in items}
     sinks = {
         item: (tids.append, pro.append, uo.append, utilities[item])
-        for item, (tids, pro, uo) in filled.items()
+        for item, (tids, pro, uo, _) in columns.items()
     }
     owner = list(map(sinks.get, table.items))
     tu = table.tu
@@ -140,43 +158,27 @@ def item_columns(db: UncertainDatabase, items: Iterable[str]) -> ItemColumns:
         add_tid(tid)
         add_p(p)
         add_uo(quantity * unit / tu[tid - 1])  # tid k is at index k - 1
-    return {item: (tids, pro, uo, sum(pro, 0.0)) for item, (tids, pro, uo) in filled.items()}
-
-
-def build_single_item_lists(
-    columns: ItemColumns, order: TotalOrder
-) -> dict[str, tuple[PatternList, PatternSummary]]:
-    """The vertical list of every ranked item, from :func:`item_columns`.
-
-    An item's ruo sums the uo of the ranked items after it in the same
-    transaction; items outside ``order`` never count.  Only the occupancy
-    bound reads ruo, so every list's ruo column is summed the first time
-    any list's ruo is read (see ``PatternList.fill_ruo``), never in a run
-    that does not read it.  Items are walked from the last rank to the
-    first, and ``tail[tid]``, a list indexed by tid, sums the uo of those
-    already walked: each tail takes the same additions, in the same
-    order, as a left-to-right sum over a transaction's ranked occurrences
-    in descending rank, so ruo is bit-identical to that sum.
-    """
-    ranked = [columns[item] for item in order.items]
-    ruos: list[list[float]] = [[] for _ in ranked]
-    filled = False
+    kept: list[tuple[list[int], list[float], list[float]]] = []  # (tids, uo, ruo)
+    summed = False
 
     def fill_ruo() -> None:
-        nonlocal filled
-        if filled:
+        nonlocal summed
+        if summed:
             return
-        filled = True
-        tail = [0.0] * (max((tids[-1] for tids, *_ in ranked), default=0) + 1)
-        for (tids, _, uo, _), ruo in zip(reversed(ranked), reversed(ruos)):
+        summed = True
+        tail = [0.0] * (max((tids[-1] for tids, _, _ in kept), default=0) + 1)
+        for tids, uo, ruo in reversed(kept):
             ruo.extend(map(tail.__getitem__, tids))
             deque(map(tail.__setitem__, tids, map(add, ruo, uo)), maxlen=0)
 
-    result: dict[str, tuple[PatternList, PatternSummary]] = {}
-    for item, (tids, pro, uo, probability), ruo in zip(order.items, ranked, ruos):
-        plist = PatternList((item,), tids, pro, uo, _bitset(tids), ruo, fill_ruo=fill_ruo)
-        result[item] = (plist, PatternSummary(len(tids), probability, sum(uo) / len(tids)))
-    return result
+    singles: dict[str, tuple[PatternList, PatternSummary]] = {}
+    for item, (tids, pro, uo, ruo) in columns.items():
+        summary = _summary(len(tids), pro, uo)
+        if min_probability is None or summary.probability >= min_probability:
+            kept.append((tids, uo, ruo))
+            plist = PatternList((item,), tids, pro, uo, _bitset(tids), ruo, fill_ruo=fill_ruo)
+            singles[item] = plist, summary
+    return singles
 
 
 def _getter(keys: Sequence[int]) -> Callable[[Sequence | Mapping], tuple]:
@@ -234,4 +236,4 @@ def construct(
     else:
         pro, uo = list(pro), list(uo)
         plist = PatternList(xa.items + b.items, tids, pro, uo, bits, b.item_ruo, rows, b.fill_ruo)
-    return plist, PatternSummary(n, sum(pro, 0.0), sum(uo) / n if n else 0.0)
+    return plist, _summary(n, pro, uo)

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, nan
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import EnumerationBudgetError, MissingUtilityError, UndefinedMeasureError
 from .model import PatternRecord, Thresholds, UncertainDatabase
@@ -52,6 +52,13 @@ class TotalOrder:
         return tuple(sorted(pattern, key=self.rank.__getitem__))
 
 
+def _order_key(db: UncertainDatabase) -> Callable[[str], tuple[int, str]]:
+    """The mining order's sort key over ``db``'s items: the support count,
+    then the id.  An item that does not occur in ``db`` counts 0."""
+    counts = db.item_supports
+    return lambda item: (counts.get(item, 0), item)
+
+
 def total_order(db: UncertainDatabase, promising: Iterable[str] | None = None) -> TotalOrder:
     """Rank items by ascending support count, ties broken by ascending id.
 
@@ -65,7 +72,7 @@ def total_order(db: UncertainDatabase, promising: Iterable[str] | None = None) -
     unknown = items - counts.keys()
     if unknown:
         raise ValueError(f"items not in database universe: {sorted(unknown)}")
-    ordered = tuple(sorted(items, key=lambda i: (counts[i], i)))
+    ordered = tuple(sorted(items, key=_order_key(db)))
     return TotalOrder(rank={item: r for r, item in enumerate(ordered)}, items=ordered)
 
 
@@ -135,7 +142,7 @@ def _units(items: Iterable[str], db: UncertainDatabase, priced: bool = True) -> 
 
 def _pattern_columns(p: frozenset[str], db: UncertainDatabase, priced: bool = False) -> list:
     """The columns of ``p``'s items, ranked as ``db``'s total order ranks them."""
-    ranked = sorted(p, key=lambda item: (db.item_supports.get(item, 0), item))
+    ranked = sorted(p, key=_order_key(db))
     return list(_columns(db, _units(ranked, db, priced)).values())
 
 

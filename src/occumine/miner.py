@@ -1,9 +1,11 @@
 """Depth-first pattern search over the support-ordered set-enumeration tree.
 
-The set-up takes item supports from the database, which counted them
-when it was built, then reads the occurrences of the items with the
-minimum support once, into the columns every single-item list is filled
-from.  The search keeps a vertical list per visited node and extends a
+The set-up is two calls: :func:`~occumine.measures.total_order` ranks
+the items with the minimum support, by the supports the database counted
+when it was built, and :func:`~occumine.lists.build_single_item_lists`
+reads their occurrences once into their single-item lists, dropping,
+under probability pruning, every item below the probability minimum
+first.  The search keeps a vertical list per visited node and extends a
 node by joining its list with the single-item list of each
 later sibling's last item.  Support pruning is always on: a join whose
 joint support, counted on the tid bitsets, is below the minimum builds
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .errors import DatabaseValidationError
-from .lists import PatternList, PatternSummary, build_single_item_lists, construct, item_columns
+from .lists import PatternList, PatternSummary, build_single_item_lists, construct
 from .measures import total_order
 from .model import MiningStats, PatternRecord, Thresholds, UncertainDatabase, validate_database
 
@@ -134,14 +136,11 @@ def mine(
     # Items below the minimum support can head no qualifying pattern, so
     # they are always dropped.  Items below the probability minimum are
     # dropped only under probability pruning; otherwise they stay in the
-    # order (and in ruo values) and the final filter handles them.  An
-    # item's probability is summed once, with its columns, and its list's
-    # summary holds that sum.
-    columns = item_columns(db, [i for i, c in db.item_supports.items() if c >= min_sup])
-    if strategies.probability_prune:
-        columns = {item: column for item, column in columns.items() if column[3] >= min_pro}
-    order = total_order(db, columns)
-    singles = build_single_item_lists(columns, order)
+    # lists (and in ruo values) and the final filter handles them.
+    order = total_order(db, [i for i, c in db.item_supports.items() if c >= min_sup])
+    singles = build_single_item_lists(
+        db, order.items, min_pro if strategies.probability_prune else None
+    )
     stats.constructed_lists += len(singles)
     found: list[PatternRecord] = []
 
@@ -149,7 +148,7 @@ def mine(
     # interpreter's recursion limit.  A frame holds the siblings left to
     # visit, last first; a node's surviving children are pushed as a frame
     # of their own and searched before its next sibling.
-    stack = [[singles[item] for item in reversed(order.items)]]
+    stack = [list(reversed(singles.values()))]
     while stack:
         frame = stack[-1]
         if not frame:

@@ -24,7 +24,7 @@ from occumine import (
     write_database,
 )
 from occumine.cli import main
-from occumine.lists import build_single_item_lists, item_columns
+from occumine.lists import build_single_item_lists
 from occumine.measures import oracle_filter
 
 from conftest import EXAMPLE_TRANSACTIONS, EXAMPLE_UTILITIES
@@ -90,7 +90,7 @@ def test_criterion_1_golden_example():
     order = total_order(db)
     checks.append(order.items == ("e", "a", "b", "d", "c"))
 
-    singles = build_single_item_lists(item_columns(db, order.items), order)
+    singles = build_single_item_lists(db, order.items)
     e_list = singles["e"][0]
     checks.append(e_list.tids[0] == 5)
     checks.append(abs(e_list.pro[0] - 0.8) < 1e-4)

@@ -12,13 +12,13 @@ from occumine import (
     total_order,
     utility_occupancy,
 )
-from occumine.lists import build_single_item_lists, construct, item_columns
+from occumine.lists import build_single_item_lists, construct
 
 
 @pytest.fixture(scope="module")
 def example_singles(example_db):
     order = total_order(example_db)
-    return build_single_item_lists(item_columns(example_db, order.items), order)
+    return build_single_item_lists(example_db, order.items)
 
 
 def test_single_list_of_e(example_singles):
@@ -59,7 +59,7 @@ def test_summaries_match_recomputation(example_singles, example_db):
 def test_ruo_columns_are_summed_on_the_first_read(example_db):
     # A fresh build: the module fixture's columns are already filled.
     order = total_order(example_db)
-    singles = build_single_item_lists(item_columns(example_db, order.items), order)
+    singles = build_single_item_lists(example_db, order.items)
     lists = [plist for plist, _ in singles.values()]
     assert all(plist.item_ruo == [] for plist in lists)
     joined, _ = construct(singles["e"][0], singles["a"][0])
@@ -67,6 +67,28 @@ def test_ruo_columns_are_summed_on_the_first_read(example_db):
     assert len(joined.ruo) == joined.support
     assert all(len(plist.item_ruo) == plist.support for plist in lists)
     assert all(plist.item_ruo is column for plist, column in zip(lists, columns))  # in place
+
+
+def test_probability_minimum_drops_items_before_any_list(example_db):
+    # Summed probabilities: e 2.8, a 3.3000000000000003, b 3.3, d 4.7, c 5.4.
+    # At a's sum, e and b, one ulp below it, are dropped and a is kept; b is
+    # ranked between a and d, so it would count in a's ruo if it were kept.
+    order = total_order(example_db)
+    minimum = probability(["a"], example_db)
+    singles = build_single_item_lists(example_db, order.items, minimum)
+    assert list(singles) == ["a", "d", "c"]
+    everything = build_single_item_lists(example_db, order.items)
+    kept = total_order(example_db, singles)
+    for item, (plist, summary) in singles.items():
+        whole, whole_summary = everything[item]
+        assert (plist.tids, plist.pro, plist.uo, summary) == (
+            whole.tids, whole.pro, whole.uo, whole_summary
+        )
+        remaining = [
+            remaining_utility_occupancy([item], tid, example_db, kept) for tid in plist.tids
+        ]
+        assert _hexes(plist.ruo) == _hexes(remaining)
+    assert _hexes(singles["a"][0].ruo) != _hexes(everything["a"][0].ruo)
 
 
 def test_construct_first_level(example_singles):
@@ -129,7 +151,7 @@ def test_joins_of_support_below_two_match_a_per_row_join(summary_only):
     )
     order = total_order(db)
     singles = {item: plist for item, (plist, _) in
-               build_single_item_lists(item_columns(db, order.items), order).items()}
+               build_single_item_lists(db, order.items).items()}
     a_c, _ = construct(singles["a"], singles["c"])
     joins = [("d", "a", 0), ("a", "c", 1), ("a", "b", 2), ("c", "b", 2)]
     cases = [(singles[x], singles[y], n) for x, y, n in joins] + [(a_c, singles["b"], 1)]
@@ -154,7 +176,7 @@ def _chain_lists(db):
     """Join every reachable pattern's list, mirroring the search order, and
     yield each with its summary."""
     order = total_order(db)
-    singles = build_single_item_lists(item_columns(db, order.items), order)
+    singles = build_single_item_lists(db, order.items)
     level = [singles[item] for item in order.items]
     while level:
         next_level = []

@@ -25,7 +25,7 @@ from occumine import (
     validate_database,
     write_database,
 )
-from occumine.lists import build_single_item_lists, construct, item_columns
+from occumine.lists import build_single_item_lists, construct
 from occumine.model import TOL, Transaction
 
 
@@ -35,14 +35,14 @@ def _records_by_pattern(records):
 
 def test_upper_bound_values(example_db):
     order = total_order(example_db)
-    singles = build_single_item_lists(item_columns(example_db, order.items), order)
+    singles = build_single_item_lists(example_db, order.items)
     assert upper_bound(singles["b"][0], 3) == pytest.approx(0.8911, abs=1e-4)
     assert upper_bound(singles["c"][0], 3) == pytest.approx(0.8780, abs=1e-4)
 
 
 def test_upper_bound_short_list(example_db):
     order = total_order(example_db)
-    singles = build_single_item_lists(item_columns(example_db, order.items), order)
+    singles = build_single_item_lists(example_db, order.items)
     e_list = singles["e"][0]
     total = sum(uo + ruo for uo, ruo in zip(e_list.uo, e_list.ruo))
     assert upper_bound(e_list, 9) == pytest.approx(total / 9, abs=1e-12)
@@ -53,7 +53,7 @@ def test_upper_bound_refuses_a_support_minimum_below_1(example_db, min_sup_count
     # 0 would divide by zero, and -1 would bound b's list at -3.12, below
     # every occupancy it must dominate.
     order = total_order(example_db)
-    singles = build_single_item_lists(item_columns(example_db, order.items), order)
+    singles = build_single_item_lists(example_db, order.items)
     with pytest.raises(ValueError, match=f"^min_sup_count must be >= 1, got {min_sup_count}$"):
         upper_bound(singles["b"][0], min_sup_count)
 

@@ -2,6 +2,7 @@
 agrees with the per-pattern measures, the occupancy bound is at least a
 list's mean, single-item lists under an order over some of the items
 hold the direct measures and equal a per-transaction reference exactly,
+an item below the probability minimum counts in no single-item list,
 every visited node's ruo and occupancy bound equal the direct measures,
 every record is within a few ulps of its exact rational measures, a
 database's transaction table gives back the transactions it was built
@@ -55,7 +56,7 @@ from occumine import (
 )
 from occumine import dataio
 from occumine.cli import main
-from occumine.lists import build_single_item_lists, construct, item_columns
+from occumine.lists import build_single_item_lists, construct
 from occumine.model import TOL, transaction_utility
 
 from conftest import EXAMPLE_TRANSACTIONS, EXAMPLE_UTILITIES
@@ -229,7 +230,7 @@ def test_bound_is_at_least_the_list_mean(db, k):
     # only if no list with support >= k has a bound below its mean
     # occupancy + remaining, which is at least its occupancy.
     order = total_order(db)
-    singles = build_single_item_lists(item_columns(db, order.items), order)
+    singles = build_single_item_lists(db, order.items)
     level = list(singles.values())
     while level:
         deeper = []
@@ -249,7 +250,7 @@ def test_summary_only_join_equals_the_full_join(db, k):
     # The search joins a leaf for its summary alone: the bitset gate, the
     # tids and every summary float must be the full join's, to the bit.
     order = total_order(db)
-    singles = build_single_item_lists(item_columns(db, order.items), order)
+    singles = build_single_item_lists(db, order.items)
     level = [plist for plist, _ in singles.values()]
     while level:
         deeper = []
@@ -345,7 +346,7 @@ def test_single_item_lists_under_a_subset_order(db, data):
         st.lists(st.sampled_from(universe), min_size=1, max_size=len(universe) - 1, unique=True)
     )
     order = total_order(db, ranked)
-    singles = build_single_item_lists(item_columns(db, order.items), order)
+    singles = build_single_item_lists(db, order.items)
     assert list(singles) == list(order.items)
     for item, (plist, _) in singles.items():
         holding = [(tid, t) for tid, t in enumerate(db.transactions, 1) if item in t.items]
@@ -356,6 +357,33 @@ def test_single_item_lists_under_a_subset_order(db, data):
             assert abs(uo - t.quantities[k] * db.unit_utilities[item] / t.tu) <= TOL
             assert ruo.hex() == remaining_utility_occupancy((item,), tid, db, order).hex()
     assert all(ruo == 0.0 for ruo in singles[order.items[-1]][0].ruo)
+
+
+@settings(max_examples=150, deadline=None)
+@given(db=databases(), data=st.data())
+def test_single_item_lists_under_a_probability_minimum(db, data):
+    # Under probability pruning the miner passes the probability minimum,
+    # here on or an ulp next to some item's summed probability: an item
+    # below it gets no list and counts in no kept list's ruo, and the kept
+    # lists are otherwise the ones built without it.
+    order = total_order(db)
+    sums = {item: probability([item], db) for item in order.items}
+    minimum = math.nextafter(
+        data.draw(st.sampled_from(sorted(sums.values()))),
+        data.draw(st.sampled_from([-math.inf, 0.0, math.inf])),
+    )
+    singles = build_single_item_lists(db, order.items, minimum)
+    kept = [item for item in order.items if sums[item] >= minimum]
+    assert list(singles) == kept
+    everything = build_single_item_lists(db, order.items)
+    kept_order = total_order(db, kept)
+    for item, (plist, summary) in singles.items():
+        whole, whole_summary = everything[item]
+        assert (plist.tids, plist.pro, plist.uo, summary) == (
+            whole.tids, whole.pro, whole.uo, whole_summary
+        )
+        for tid, ruo in zip(plist.tids, plist.ruo):
+            assert ruo.hex() == remaining_utility_occupancy([item], tid, db, kept_order).hex()
 
 
 #: Unit utility 0 for ``e``: it occurs but adds nothing to tu, uo or ruo.
@@ -372,7 +400,7 @@ def test_single_item_lists_equal_a_per_transaction_reference_exactly(db, ranked,
     # Built transaction by transaction from db.transactions, the way the
     # definitions read; nothing is allowed to differ, not even by a rounding.
     order = total_order(db, [item for item in ranked[:size] if item in db.item_supports])
-    singles = build_single_item_lists(item_columns(db, order.items), order)
+    singles = build_single_item_lists(db, order.items)
     assert list(singles) == list(order.items)
     for item, (plist, summary) in singles.items():
         tids, pro, uo, ruo = [], [], [], []
