@@ -43,6 +43,7 @@ from .model import (
     ItemOccurrence,
     MiningStats,
     PatternRecord,
+    PatternSummary,
     Thresholds,
     Transaction,
     TransactionTable,
@@ -66,6 +67,7 @@ __all__ = [
     "OccumineError",
     "ParseError",
     "PatternRecord",
+    "PatternSummary",
     "PlanError",
     "PRESETS",
     "S1",

@@ -129,7 +129,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     db = load_database(args.data, args.utility)
     records = oracle_mine(db, args.model, args.max_len, budget=args.budget)
-    _emit(render_patterns(tuple(records), args.format), args.output)
+    _emit(render_patterns(records, args.format), args.output)
     return 0
 
 

@@ -17,7 +17,9 @@ before any list exists.  Each list also holds a ``ruo`` column, the
 remaining utility share of its item per transaction, summed rank by rank
 in a list indexed by tid, for every single-item list at once, the first
 time any list's ruo is read.  Every summary, of a single item or of a
-join, comes from one rule, :func:`_summary`.
+join, comes from one rule, :func:`_summary`, as a
+:class:`~occumine.model.PatternSummary`, the measure type the oracle
+returns too.
 
 A pattern's remaining utility share in a transaction is its last item's,
 so a joined list copies no ruo column: it keeps ``rows``, a tuple of its
@@ -36,7 +38,7 @@ from itertools import compress
 from operator import add, itemgetter, mul
 from typing import Iterable
 
-from .model import UncertainDatabase
+from .model import PatternSummary, UncertainDatabase
 
 
 @dataclass(slots=True)
@@ -90,16 +92,6 @@ class PatternList:
         return self._row_of
 
 
-@dataclass(slots=True)
-class PatternSummary:
-    """Aggregates over one pattern's list: support, total probability and
-    mean utility occupancy (all zero for an empty list)."""
-
-    support: int
-    probability: float
-    occupancy: float
-
-
 def _bitset(tids: list[int]) -> int:
     """The int whose set bits are exactly ``tids``, which is not empty."""
     buf = bytearray((tids[-1] >> 3) + 1)
@@ -111,7 +103,7 @@ def _bitset(tids: list[int]) -> int:
 def _summary(n: int, pro: Iterable[float], uo: Iterable[float]) -> PatternSummary:
     """The summary of a list of ``n`` rows with these ``pro`` and ``uo``
     values: ``pro`` summed from 0.0 and ``uo``'s sum over ``n``, in row
-    order, the one rule for every list."""
+    order, the one rule for every list (all zero for an empty list)."""
     return PatternSummary(n, sum(pro, 0.0), sum(uo) / n if n else 0.0)
 
 

@@ -7,6 +7,10 @@ or a fault there would show in miner and oracle alike, unseen.  The
 oracle, :func:`oracle_mine`, is an enumeration, :func:`oracle_measures`,
 that measures every itemset with no threshold, then a filter,
 :func:`oracle_filter`, that holds its only threshold comparisons.  The
+enumeration gives each itemset's measures in the miner's type,
+:class:`~occumine.model.PatternSummary`, and the filter builds and sorts
+its records with ``mine``'s own builder,
+:func:`~occumine.model.pattern_records`, so both return one shape.  The
 enumeration and the per-pattern functions evaluate an itemset by one
 function, in the miner's float order under the given database's total
 order, so they and ``mine`` return equal floats on one database.
@@ -34,7 +38,7 @@ from math import comb, nan
 from typing import Callable, Iterable, Mapping
 
 from .errors import EnumerationBudgetError, MissingUtilityError, UndefinedMeasureError
-from .model import PatternRecord, Thresholds, UncertainDatabase
+from .model import PatternRecord, PatternSummary, Thresholds, UncertainDatabase, pattern_records
 
 #: Default cap on itemsets the oracle may examine before giving up.
 DEFAULT_ENUMERATION_BUDGET = 1_000_000
@@ -108,15 +112,15 @@ def _common(columns: list[dict[int, tuple]]) -> list[int]:
     return tids
 
 
-def _evaluate(columns: list[dict[int, tuple]]) -> tuple[int, float, float]:
-    """(support count, probability, utility occupancy) of the itemset whose
-    columns come in the mining total order, evaluated as the miner's lists
-    do: per common tid, ascending, the shares added and the probabilities
-    multiplied left to right; then ``sum(products, 0.0)`` and ``sum(shares)
-    / support``.  ``(0, 0.0, nan)`` when no tid is common."""
+def _evaluate(columns: list[dict[int, tuple]]) -> PatternSummary:
+    """The summary of the itemset whose columns come in the mining total
+    order, evaluated as the miner's lists do: per common tid, ascending, the
+    shares added and the probabilities multiplied left to right; then
+    ``sum(products, 0.0)`` and ``sum(shares) / support``.  ``(0, 0.0, nan)``
+    when no tid is common."""
     tids = _common(columns)
     if not tids:
-        return 0, 0.0, nan
+        return PatternSummary(0, 0.0, nan)
     first, *rest = columns
     shares, products = [], []
     for tid in tids:
@@ -127,7 +131,7 @@ def _evaluate(columns: list[dict[int, tuple]]) -> tuple[int, float, float]:
             product *= p
         shares.append(share)
         products.append(product)
-    return len(tids), sum(products, 0.0), sum(shares) / len(tids)
+    return PatternSummary(len(tids), sum(products, 0.0), sum(shares) / len(tids))
 
 
 def _units(items: Iterable[str], db: UncertainDatabase, priced: bool = True) -> dict:
@@ -148,7 +152,7 @@ def _pattern_columns(p: frozenset[str], db: UncertainDatabase, priced: bool = Fa
 
 def support_count(pattern: Iterable[str], db: UncertainDatabase) -> int:
     """Number of transactions containing every item of the pattern."""
-    return _evaluate(_pattern_columns(_as_pattern(pattern), db))[0]
+    return _evaluate(_pattern_columns(_as_pattern(pattern), db)).support
 
 
 def utility(pattern: Iterable[str], db: UncertainDatabase) -> float:
@@ -170,7 +174,7 @@ def utility_occupancy(pattern: Iterable[str], db: UncertainDatabase) -> float:
 
 def probability(pattern: Iterable[str], db: UncertainDatabase) -> float:
     """Summed existential probability of the pattern over supporting transactions."""
-    return _evaluate(_pattern_columns(_as_pattern(pattern), db))[1]
+    return _evaluate(_pattern_columns(_as_pattern(pattern), db)).probability
 
 
 def remaining_utility_occupancy(
@@ -207,8 +211,8 @@ def oracle_measures(
     db: UncertainDatabase,
     max_len: int,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> dict[frozenset[str], tuple[int, float, float]]:
-    """(support count, probability, utility occupancy) of every itemset of
+) -> dict[frozenset[str], PatternSummary]:
+    """The :class:`~occumine.model.PatternSummary` of every itemset of
     up to ``max_len`` items that some transaction holds, found with no
     pruning and no threshold, which is the point.  Each comes from the one
     per-itemset evaluation that the per-pattern functions call too, in the
@@ -226,29 +230,28 @@ def oracle_measures(
     measures = {}
     for length in lengths:
         for itemset in combinations(items, length):
-            found = _evaluate([columns[item] for item in itemset])
-            if found[0]:
-                measures[frozenset(itemset)] = found
+            summary = _evaluate([columns[item] for item in itemset])
+            if summary.support:
+                measures[frozenset(itemset)] = summary
     return measures
 
 
 def oracle_filter(
     db: UncertainDatabase,
     thresholds: Thresholds,
-    measures: Mapping[frozenset[str], tuple[int, float, float]],
-) -> list[PatternRecord]:
+    measures: Mapping[frozenset[str], PatternSummary],
+) -> tuple[PatternRecord, ...]:
     """Records of the itemsets in ``measures`` (:func:`oracle_measures` of
-    ``db``) that pass all thresholds, sorted by their id-sorted item tuple,
-    with items rendered in the mining total order."""
+    ``db``) that pass all thresholds, with items in the mining total order,
+    built and sorted as ``mine`` builds and sorts its own
+    (:func:`~occumine.model.pattern_records`)."""
     min_sup, min_pro, min_uo, _ = thresholds.cutoffs(len(db))
     order = total_order(db)
-    found = [
-        PatternRecord(order.sort_pattern(itemset), support, pro, uo)
-        for itemset, (support, pro, uo) in measures.items()
-        if support >= min_sup and pro >= min_pro and uo >= min_uo
-    ]
-    found.sort(key=PatternRecord.sort_key)
-    return found
+    return pattern_records(
+        (order.sort_pattern(itemset), m)
+        for itemset, m in measures.items()
+        if m.support >= min_sup and m.probability >= min_pro and m.occupancy >= min_uo
+    )
 
 
 def oracle_mine(
@@ -256,7 +259,7 @@ def oracle_mine(
     thresholds: Thresholds,
     max_len: int,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> list[PatternRecord]:
+) -> tuple[PatternRecord, ...]:
     """Every itemset of up to ``max_len`` items passing all thresholds:
     :func:`oracle_filter` over :func:`oracle_measures`, which see.  Both
     read raw transactions, never ``lists``, to stay independent of the miner."""

@@ -30,7 +30,11 @@ node whose subtree the occupancy bound cut.  Only :func:`upper_bound`
 reads a node's remaining utility, once per call, and the search calls it
 only for a node whose occupancy is below the minimum and that is not a
 leaf, so under a preset without the bound no ruo is gathered.  A leaf is
-never joined either, so it is built summary-only, with no columns.  The
+never joined either, so it is built summary-only, with no columns.  An
+emitted node is kept as its items and its
+:class:`~occumine.model.PatternSummary`, and
+:func:`~occumine.model.pattern_records`, the oracle's builder too, turns
+the pairs into the sorted records once the search ends.  The
 search calls ``construct``, ``upper_bound`` and the set-up functions
 through this module's globals, so a wrapper set on one of those names
 sees every call.
@@ -44,9 +48,10 @@ from dataclasses import dataclass
 from operator import add
 
 from .errors import DatabaseValidationError
-from .lists import PatternList, PatternSummary, build_single_item_lists, construct
+from .lists import PatternList, build_single_item_lists, construct
 from .measures import total_order
-from .model import MiningStats, PatternRecord, Thresholds, UncertainDatabase, validate_database
+from .model import MiningStats, PatternRecord, PatternSummary, Thresholds, UncertainDatabase
+from .model import pattern_records, validate_database
 
 
 @dataclass(frozen=True)
@@ -110,13 +115,14 @@ def mine(
     The records equal :func:`~occumine.measures.oracle_mine`'s, floats
     included, under every ``strategies``; only the traversal cost recorded
     in the stats changes.  ``on_node``, when given, is called as
-    ``on_node(plist, summary)`` once per visited node, in visit order,
-    before the node is emitted or expanded; it changes neither the result
-    nor the stats.  Each frame of the search holds the siblings left to
-    visit, last first; a node that empties its frame is a leaf, which is
-    never bounded and which a plain run builds summary-only, but every
-    list the hook is given is built in full.  A caller that wants a
-    node's :func:`upper_bound` computes it in the hook.
+    ``on_node(plist, summary)``, with the node's list and its
+    :class:`~occumine.model.PatternSummary`, once per visited node, in
+    visit order, before the node is emitted or expanded; it changes
+    neither the result nor the stats.  Each frame of the search holds the
+    siblings left to visit, last first; a node that empties its frame is a
+    leaf, which is never bounded and which a plain run builds
+    summary-only, but every list the hook is given is built in full.  A
+    caller that wants a node's :func:`upper_bound` computes it in the hook.
 
     Raises :class:`DatabaseValidationError` if ``db`` is invalid.  The
     check runs only while ``db`` has no verdict recorded, and its result
@@ -142,7 +148,7 @@ def mine(
         db, order.items, min_pro if strategies.probability_prune else None
     )
     stats.constructed_lists += len(singles)
-    found: list[PatternRecord] = []
+    found: list[tuple[tuple[str, ...], PatternSummary]] = []
 
     # Depth first from an explicit stack, so the depth is not capped by the
     # interpreter's recursion limit.  A frame holds the siblings left to
@@ -162,14 +168,7 @@ def mine(
         # Roots and children were filtered on this summary's support (and,
         # under probability pruning, probability); emission re-checks.
         if xa_sum.probability >= min_pro and xa_sum.occupancy >= min_uo:
-            found.append(
-                PatternRecord(
-                    items=xa_list.items,
-                    support=xa_sum.support,
-                    probability=xa_sum.probability,
-                    utility_occupancy=xa_sum.occupancy,
-                )
-            )
+            found.append((xa_list.items, xa_sum))
 
         # A node whose frame is left empty is a leaf: it has no later
         # sibling to join, so no subtree to cut.  A visited node has at
@@ -207,7 +206,7 @@ def mine(
         if children:
             stack.append(children)
 
-    patterns = tuple(sorted(found, key=PatternRecord.sort_key))
+    patterns = pattern_records(found)
     stats.patterns_found = len(patterns)
-    stats.elapsed_seconds = time.perf_counter() - started
+    stats.elapsed_ms = (time.perf_counter() - started) * 1000.0
     return MiningOutcome(patterns=patterns, stats=stats)

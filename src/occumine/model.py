@@ -30,6 +30,11 @@ columns.  Indexing or iterating the table builds a fresh
 :class:`Transaction` per access, and nothing caches it; for readers
 outside the package, ``Transaction.occurrences`` builds
 :class:`ItemOccurrence` records on demand in turn.
+
+A pattern's measures have one type, :class:`PatternSummary`, whether the
+miner's lists or the oracle's enumeration found them, and one function,
+:func:`pattern_records`, turns ``(items, summary)`` pairs into the sorted
+tuple of :class:`PatternRecord` that both return.
 """
 
 from __future__ import annotations
@@ -37,12 +42,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import reduce
 from itertools import chain, repeat
 from operator import add, le, mul, sub
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 #: The one floating-point tolerance.  A measure clears a threshold ``t``
 #: when ``x >= t - TOL`` (:meth:`Thresholds.cutoffs`), because a float sum
@@ -325,6 +330,16 @@ class Thresholds:
         return self.min_support(db_size), self.min_probability(db_size) - TOL, min_uo, min_uo - TOL
 
 
+class PatternSummary(NamedTuple):
+    """A pattern's three measures: its support count, its summed probability
+    and its mean utility occupancy.  The miner's lists and the oracle both
+    give each pattern's measures in this one shape."""
+
+    support: int
+    probability: float
+    occupancy: float
+
+
 @dataclass(frozen=True)
 class PatternRecord:
     """A qualifying pattern and its measures.
@@ -360,6 +375,13 @@ class PatternRecord:
         return hash((self.pattern, self.support))
 
 
+def pattern_records(found: Iterable[tuple[tuple, PatternSummary]]) -> tuple[PatternRecord, ...]:
+    """The records of ``found``'s ``(items, summary)`` pairs, sorted by their
+    id-sorted item tuple: the one record builder of ``mine`` and the oracle."""
+    records = (PatternRecord(items, *summary) for items, summary in found)
+    return tuple(sorted(records, key=PatternRecord.sort_key))
+
+
 @dataclass
 class MiningStats:
     """Instrumentation counters for one mining run.
@@ -370,28 +392,24 @@ class MiningStats:
     joined children dropped below the probability minimum, and
     ``pruned_bound`` counts nodes whose subtree the occupancy bound cut;
     the search bounds only a node with a later sibling, so every cut
-    subtree has candidate joins.
-    The field order is :meth:`as_dict`'s and ``--stats``'s.
+    subtree has candidate joins.  ``elapsed_ms`` is the wall time of the
+    set-up and search, in milliseconds.
+    The field order is :meth:`as_dict`'s and ``--stats``'s, so a field
+    added here reaches both with no other change.
     """
 
     visited_nodes: int = 0
     constructed_lists: int = 0
     candidate_joins: int = 0
     patterns_found: int = 0
-    elapsed_seconds: float = 0.0
+    elapsed_ms: float = 0.0
     pruned_support: int = 0
     pruned_probability: int = 0
     pruned_bound: int = 0
 
     def as_dict(self) -> dict[str, float]:
-        """Every field in order, ``elapsed_seconds`` given as ``elapsed_ms``."""
-        counters = {}
-        for column in fields(self):
-            if column.name == "elapsed_seconds":
-                counters["elapsed_ms"] = self.elapsed_seconds * 1000.0
-            else:
-                counters[column.name] = getattr(self, column.name)
-        return counters
+        """Every field by name, in order."""
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,16 @@ EXAMPLE_TRANSACTIONS = DATA_DIR / "example_transactions.txt"
 EXAMPLE_UTILITIES = DATA_DIR / "example_utilities.txt"
 
 
+def exact_outcome(outcome):
+    """Records with their floats as hex, and every counter but the wall time."""
+    records = [
+        (r.items, r.support, r.probability.hex(), r.utility_occupancy.hex())
+        for r in outcome.patterns
+    ]
+    counters = {k: v for k, v in outcome.stats.as_dict().items() if k != "elapsed_ms"}
+    return records, counters
+
+
 @pytest.fixture(scope="session")
 def example_db():
     """The ten-transaction, five-item example database."""

@@ -120,7 +120,7 @@ def test_criterion_2_oracle_equivalence(corpus, corpus_measures):
     for db, measures in zip(corpus, corpus_measures):
         for triple in CORPUS_TRIPLES:
             thresholds = Thresholds(*triple)
-            expected = tuple(oracle_filter(db, thresholds, measures))
+            expected = oracle_filter(db, thresholds, measures)
             for strategies in PRESETS.values():
                 mismatches += mine(db, thresholds, strategies).patterns != expected
     elapsed = time.perf_counter() - started

@@ -4,7 +4,9 @@ import pytest
 
 from occumine import (
     GeneratorConfig,
+    PatternSummary,
     generate,
+    oracle_measures,
     parse_database,
     probability,
     remaining_utility_occupancy,
@@ -35,6 +37,16 @@ def test_summary_of_b(example_singles):
     assert summary.probability == pytest.approx(3.3, abs=1e-9)
     assert summary.occupancy == pytest.approx(0.2192, abs=1e-4)
     assert sum(plist.ruo) / summary.support == pytest.approx(0.4181, abs=1e-4)
+
+
+def test_lists_and_oracle_give_one_summary(example_db, example_singles):
+    measures = oracle_measures(example_db, 2)
+    for item, (_, summary) in example_singles.items():
+        assert type(summary) is PatternSummary
+        assert summary == measures[frozenset((item,))]
+    _, joined = construct(example_singles["b"][0], example_singles["c"][0])
+    assert type(joined) is type(measures[frozenset("bc")]) is PatternSummary
+    assert joined == measures[frozenset("bc")]
 
 
 def test_last_item_has_zero_remaining(example_singles):

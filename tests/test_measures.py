@@ -239,7 +239,7 @@ def test_oracle_high_thresholds(example_db):
 
 
 def test_oracle_full_support_requirement(example_db):
-    assert oracle_mine(example_db, Thresholds(1.0, 0.1, 0.0), max_len=5) == []
+    assert oracle_mine(example_db, Thresholds(1.0, 0.1, 0.0), max_len=5) == ()
 
 
 def test_oracle_excludes_low_occupancy_item(example_db):

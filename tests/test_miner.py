@@ -28,6 +28,8 @@ from occumine import (
 from occumine.lists import build_single_item_lists, construct
 from occumine.model import TOL, Transaction
 
+from conftest import exact_outcome
+
 
 def _records_by_pattern(records):
     return {r.pattern: r for r in records}
@@ -105,7 +107,7 @@ def test_low_occupancy_node_is_explored_not_emitted(example_db):
 
 
 def _counters(stats):
-    return dataclasses.replace(stats, elapsed_seconds=0.0)
+    return dataclasses.replace(stats, elapsed_ms=0.0)
 
 
 @pytest.mark.parametrize("strategies", list(PRESETS.values()), ids=list(PRESETS))
@@ -380,7 +382,7 @@ def test_mine_matches_oracle(seed):
     db = _small_db(seed)
     for triple in TRIPLES:
         thresholds = Thresholds(*triple)
-        expected = tuple(oracle_mine(db, thresholds, max_len=len(db.item_universe)))
+        expected = oracle_mine(db, thresholds, max_len=len(db.item_universe))
         for strategies in PRESETS.values():
             assert mine(db, thresholds, strategies).patterns == expected
 
@@ -390,7 +392,7 @@ def test_underflowing_probabilities_match_oracle():
     row = [(item, 1, 1e-120) for item in "abcde"]
     db = build_database([row] * 3, dict.fromkeys("abcde", 1.0))
     thresholds = Thresholds(0.5, 0.1, 0.0)
-    expected = tuple(oracle_mine(db, thresholds, max_len=5))
+    expected = oracle_mine(db, thresholds, max_len=5)
     assert len(expected) == 31
     for strategies in PRESETS.values():
         got = mine(db, thresholds, strategies).patterns
@@ -450,7 +452,7 @@ BOUNDARY_DATABASES = [
 def test_mine_equals_oracle_on_a_measure_at_its_cutoff(data, utility, alpha, beta, gamma):
     db = parse_database(data, utility)
     thresholds = Thresholds(alpha, beta, gamma)
-    expected = tuple(oracle_mine(db, thresholds, max_len=6))
+    expected = oracle_mine(db, thresholds, max_len=6)
     assert expected
     for strategies in PRESETS.values():
         assert mine(db, thresholds, strategies).patterns == expected
@@ -511,16 +513,6 @@ def test_gamma_zero_matches_certain_semantics():
     assert len(zero) > 0
 
 
-def _exact(outcome):
-    """Records with their floats as hex, and every counter but the wall time."""
-    records = [
-        (r.items, r.support, r.probability.hex(), r.utility_occupancy.hex())
-        for r in outcome.patterns
-    ]
-    counters = {k: v for k, v in outcome.stats.as_dict().items() if k != "elapsed_ms"}
-    return records, counters
-
-
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_mining_a_subset_equals_mining_its_lines(preset):
     # A sub-database numbers its transactions by position, as the parser
@@ -534,6 +526,6 @@ def test_mining_a_subset_equals_mining_its_lines(preset):
     sub = dataclasses.replace(db, transactions=tuple(db.transactions[p] for p in positions))
     parsed = parse_database("\n".join(lines[p] for p in positions), utility_text)
     thresholds = Thresholds(0.1, 0.2, 0.02)
-    got = _exact(mine(sub, thresholds, PRESETS[preset]))
+    got = exact_outcome(mine(sub, thresholds, PRESETS[preset]))
     assert got[0]
-    assert got == _exact(mine(parsed, thresholds, PRESETS[preset]))
+    assert got == exact_outcome(mine(parsed, thresholds, PRESETS[preset]))

@@ -1,11 +1,13 @@
 import copy
 import dataclasses
+import inspect
 import math
 import pickle
 import re
 
 import pytest
 
+import occumine
 from occumine import (
     DatabaseValidationError,
     PatternRecord,
@@ -269,3 +271,14 @@ def test_thresholds_derived_values():
     th = Thresholds(0.3, 0.3, 0.05)
     assert th.min_support(10) == 3
     assert th.min_probability(10) == pytest.approx(0.5)
+
+
+def test_all_lists_every_public_name_of_the_package():
+    # An export added to the import list but not to __all__, or the other
+    # way round, fails here.
+    public = [
+        name
+        for name, value in vars(occumine).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    ]
+    assert sorted(occumine.__all__) == sorted(public)

@@ -9,7 +9,8 @@ database's transaction table gives back the transactions it was built
 from, the parser only accepts valid databases, reports a broken rule in
 validation's words at its token, and agrees with its per-token
 reference, the CLI never raises, and it refuses exactly the flags its
-model types refuse."""
+model types refuse; and scaling every unit utility by 8 changes no bit
+of any record or counter."""
 
 import contextlib
 import dataclasses
@@ -59,7 +60,7 @@ from occumine.cli import main
 from occumine.lists import build_single_item_lists, construct
 from occumine.model import TOL, transaction_utility
 
-from conftest import EXAMPLE_TRANSACTIONS, EXAMPLE_UTILITIES
+from conftest import EXAMPLE_TRANSACTIONS, EXAMPLE_UTILITIES, exact_outcome
 
 ITEMS = "abcde"
 
@@ -138,7 +139,7 @@ def test_mine_equals_oracle_under_every_preset(db, data):
     # Record equality compares the floats exactly: the miner and the oracle
     # evaluate each measure in one order, so they agree even on a cut-off.
     th = data.draw(thresholds | boundary_thresholds(db), label="thresholds")
-    expected = tuple(oracle_mine(db, th, max_len=len(ITEMS)))
+    expected = oracle_mine(db, th, max_len=len(ITEMS))
     for strategies in PRESETS.values():
         assert mine(db, th, strategies).patterns == expected
 
@@ -305,6 +306,28 @@ def test_values_read_on_demand_at_every_node(db, th):
             uo = [utility_occupancy(items, one) for one in alone]
             top = sorted(map(sum, zip(uo, expected)), reverse=True)[:min_sup]
             assert abs(bound - sum(top) / min_sup) <= TOL
+
+
+@settings(max_examples=200, deadline=None)
+@given(db=databases(), th=thresholds)
+def test_scaling_every_unit_utility_by_eight_changes_no_bit(db, th):
+    # A relation with no reference: mine and the oracle share the record
+    # builder, the cut-offs, the total order and the stored tu, so their
+    # equality cannot catch a fault in any of those, but a shared fault
+    # that makes a result depend on the utilities' scale shows here.  Every
+    # q * u and every tu scales by 8 exactly (no drawn utility makes a
+    # product subnormal), so every share q * u / tu, and from it every
+    # record and counter, is bit-identical, and the scaled database still
+    # validates.
+    table = db.transactions
+    scaled = UncertainDatabase(
+        dataclasses.replace(table, tu=[8.0 * tu for tu in table.tu]),
+        {item: 8.0 * u for item, u in db.unit_utilities.items()},
+    )
+    assume(all(map(math.isfinite, scaled.transactions.tu)))
+    for strategies in PRESETS.values():
+        want = exact_outcome(mine(db, th, strategies))
+        assert exact_outcome(mine(scaled, th, strategies)) == want
 
 
 @settings(max_examples=200, deadline=None)
