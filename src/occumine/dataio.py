@@ -538,8 +538,10 @@ def generate(config: GeneratorConfig) -> UncertainDatabase:
     Item popularity follows a 1/rank skew; quantities and unit utilities
     are uniform integers; probabilities are uniform in
     [prob_min, prob_max], rounded to 4 decimals (more for a range narrower
-    than 1e-3) and kept in that range.  Raises ``ValueError`` naming the
-    row whose total utility is not a finite float.
+    than 1e-3) and kept in that range.  The unit utilities are drawn
+    first, then each row as :func:`build_database` reads it, so no list of
+    rows is held.  Raises ``ValueError`` naming the row whose total
+    utility is not a finite float.
     """
     rng = random.Random(config.seed)
     width = len(str(config.num_items))
@@ -549,20 +551,18 @@ def generate(config: GeneratorConfig) -> UncertainDatabase:
     weights = list(accumulate(1.0 / (k + 1) for k in range(config.num_items)))
     total_weight = weights[-1]
 
-    rows: list[list[tuple[str, int, float]]] = []
-    for _ in range(config.num_transactions):
-        length = _draw_length(rng, config)
-        chosen: set[str] = set()
-        while len(chosen) < length:
-            item = pool[bisect_left(weights, rng.random() * total_weight)]
-            chosen.add(item)
-        rows.append(
-            [
+    def rows() -> Iterator[list[tuple[str, int, float]]]:
+        for _ in range(config.num_transactions):
+            length = _draw_length(rng, config)
+            chosen: set[str] = set()
+            while len(chosen) < length:
+                chosen.add(pool[bisect_left(weights, rng.random() * total_weight)])
+            yield [
                 (item, rng.randint(1, config.max_quantity), _draw_probability(rng, config))
                 for item in sorted(chosen)
             ]
-        )
-    return build_database(rows, utilities)
+
+    return build_database(rows(), utilities)
 
 
 def augment(plain_text: str | bytes, config: GeneratorConfig) -> UncertainDatabase:
@@ -571,8 +571,12 @@ def augment(plain_text: str | bytes, config: GeneratorConfig) -> UncertainDataba
     Input lines are whitespace-separated item tokens.  Duplicate tokens on
     a line merge into one occurrence whose quantity draws are summed.  The
     transaction structure and item set are preserved; everything random is
-    deterministic in the seed.  Raises ``ValueError`` naming the row whose
-    total utility is not a finite float.
+    deterministic in the seed.  The lines' tokens are collected first,
+    since the unit utilities are drawn over the whole item universe; the
+    quantities and probabilities are then drawn row by row as
+    :func:`build_database` reads each row, so no list of rows is held.
+    Raises ``ValueError`` naming the row whose total utility is not a
+    finite float.
     """
     rng = random.Random(config.seed)
 
@@ -587,10 +591,11 @@ def augment(plain_text: str | bytes, config: GeneratorConfig) -> UncertainDataba
         item: float(rng.randint(1, config.max_unit_utility)) for item in sorted(universe)
     }
 
-    rows: list[list[tuple[str, int, float]]] = []
-    for tokens in token_rows:
-        quantities: dict[str, int] = {}
-        for token in tokens:
-            quantities[token] = quantities.get(token, 0) + rng.randint(1, config.max_quantity)
-        rows.append([(item, q, _draw_probability(rng, config)) for item, q in quantities.items()])
-    return build_database(rows, utilities)
+    def rows() -> Iterator[list[tuple[str, int, float]]]:
+        for tokens in token_rows:
+            quantities: dict[str, int] = {}
+            for token in tokens:
+                quantities[token] = quantities.get(token, 0) + rng.randint(1, config.max_quantity)
+            yield [(item, q, _draw_probability(rng, config)) for item, q in quantities.items()]
+
+    return build_database(rows(), utilities)

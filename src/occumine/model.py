@@ -132,8 +132,13 @@ class TransactionTable(Sequence):
     def from_transactions(cls, transactions: Iterable[Transaction]) -> TransactionTable:
         """Flatten ``transactions`` into a table, keeping their order.
 
-        Raises ``ValueError`` for a transaction whose three occurrence
-        columns differ in length, which the table cannot hold.
+        The one flattening path of transactions: ``UncertainDatabase``
+        calls it for any iterable of them that is not a table, such as the
+        generator :func:`build_database` passes, one transaction per row.
+        ``transactions`` is read once, one at a time, and only the five
+        columns are kept.  Raises ``ValueError`` for a transaction whose
+        three occurrence columns differ in length, which the table cannot
+        hold.
         """
         ends, tus, items, quantities, probabilities = [], [], [], [], []
         for tid, t in enumerate(transactions, 1):
@@ -264,29 +269,35 @@ def transaction_utility(
 
 
 def build_database(
-    rows: Sequence[Sequence[tuple[str, int, float]]],
+    rows: Iterable[Sequence[tuple[str, int, float]]],
     unit_utilities: Mapping[str, float],
 ) -> UncertainDatabase:
     """Assemble a database from raw (item, quantity, probability) rows.
 
     Serves the generator, ``augment`` and hand-built databases; the
-    parser builds its table straight from its own columns.  Row k becomes
-    tid k: it is transposed into the transaction's columns, and its total
-    utility is :func:`transaction_utility`.  Raises
-    ``KeyError`` when an item has no utility entry, and ``ValueError``
-    naming the row whose total utility is not a finite number, which no
-    database file can hold, in :func:`total_faults`' words.  Structural
+    parser builds its table straight from its own columns.  ``rows`` may
+    be any iterable, a generator included: it is read once, one row at a
+    time, and each row's :class:`Transaction` is flattened by
+    :meth:`TransactionTable.from_transactions` as it is made, so no list
+    of rows or of transactions is held.  Row k becomes tid k: it is
+    transposed into the transaction's columns, and its total utility is
+    :func:`transaction_utility`.  Raises ``KeyError`` when an item has no
+    utility entry, and ``ValueError`` naming the row whose total utility
+    is not a finite number, which no database file can hold, in
+    :func:`total_faults`' words, before the next row is read.  Structural
     invariants beyond these are the caller's job (see
     :func:`validate_database`).
     """
-    transactions = []
-    for tid, row in enumerate(rows, start=1):
-        items, quantities, probabilities = zip(*row) if row else ((), (), ())
-        tu = transaction_utility(items, quantities, unit_utilities)
-        if not math.isfinite(tu):
-            raise ValueError(f"row {tid}: {_NOT_FINITE_TOTAL}")
-        transactions.append(Transaction(items, quantities, probabilities, tu))
-    return UncertainDatabase(tuple(transactions), unit_utilities)
+
+    def transactions() -> Iterator[Transaction]:
+        for tid, row in enumerate(rows, start=1):
+            items, quantities, probabilities = zip(*row) if row else ((), (), ())
+            tu = transaction_utility(items, quantities, unit_utilities)
+            if not math.isfinite(tu):
+                raise ValueError(f"row {tid}: {_NOT_FINITE_TOTAL}")
+            yield Transaction(items, quantities, probabilities, tu)
+
+    return UncertainDatabase(transactions(), unit_utilities)
 
 
 @dataclass(frozen=True)

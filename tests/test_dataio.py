@@ -2,6 +2,7 @@ import gc
 import math
 import re
 import sys
+import tracemalloc
 
 import pytest
 
@@ -327,6 +328,47 @@ def test_parse_leaves_no_tracked_object_per_transaction():
     grown = len(gc.get_objects()) - before
     assert len(db) == 5000
     assert grown < 50
+
+
+def test_generate_holds_no_list_of_rows():
+    # The rows flow one at a time into the table's five columns, so the
+    # peak is the kept columns plus their growth; a list of every row or
+    # of every Transaction held first would peak at several times that.
+    config = GeneratorConfig(
+        seed=11, num_transactions=5000, num_items=1000, avg_transaction_length=8
+    )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        db = generate(config)
+        gc.collect()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(db) == 5000
+    assert peak <= 2 * kept, f"peak {peak} B against {kept} B kept"
+
+
+def test_build_database_reads_a_one_shot_generator_like_a_list():
+    rows = [[("a", 2, 0.5), ("c", 1, 0.25)], [], (("d", 3, 1.0), ("a", 1, 0.75))]
+    utilities = {"a": 1.5, "c": 2.0, "d": 0.5}
+    db = build_database((row for row in rows), utilities)
+    assert db == build_database(rows, utilities)
+    assert db.transactions.ends == (2, 2, 4)
+    assert db.transactions.items == ("a", "c", "d", "a")
+
+
+def test_build_database_stops_at_the_row_with_a_non_finite_total():
+    drawn = []
+
+    def rows():
+        for k in range(1, 6):
+            drawn.append(k)
+            yield [("a", 1, 0.5), ("c", 1, 0.5)] if k == 3 else [("a", 1, 0.5)]
+
+    with pytest.raises(ValueError, match=r"^row 3: transaction utility is not a finite number$"):
+        build_database(rows(), {"a": 1.0, "c": math.inf})
+    assert drawn == [1, 2, 3]
 
 
 def test_occurrences_view_matches_tokens():

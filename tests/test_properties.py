@@ -9,8 +9,10 @@ database's transaction table gives back the transactions it was built
 from, the parser only accepts valid databases, reports a broken rule in
 validation's words at its token, and agrees with its per-token
 reference, the CLI never raises, and it refuses exactly the flags its
-model types refuse; and scaling every unit utility by 8 changes no bit
-of any record or counter."""
+model types refuse; scaling every unit utility by 8 changes no bit
+of any record or counter, and adding an item of unit utility 0 to every
+transaction adds it to every record, changing no bit of any other; and
+each preset's search counters shrink as it prunes more."""
 
 import contextlib
 import dataclasses
@@ -328,6 +330,55 @@ def test_scaling_every_unit_utility_by_eight_changes_no_bit(db, th):
     for strategies in PRESETS.values():
         want = exact_outcome(mine(db, th, strategies))
         assert exact_outcome(mine(scaled, th, strategies)) == want
+
+
+def _exact_records(outcome):
+    return {
+        (r.sort_key(), r.support, r.probability.hex(), r.utility_occupancy.hex())
+        for r in outcome.patterns
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(db=databases(), th=thresholds, data=st.data())
+def test_adding_a_zero_utility_item_everywhere_extends_every_record(db, th, data):
+    # A relation with no reference, like the scaling one.  The added item
+    # holds every transaction, with probability 1 and a share of exactly
+    # 0, so no tu, product or sum changes: each old pattern keeps its bits,
+    # gains a twin with the item at the same support, probability and
+    # occupancy, and the item alone has occupancy 0 and never qualifies.
+    # Its support ties with an item in every transaction, so its drawn id
+    # decides where it ranks among them.
+    zero = data.draw(
+        st.text("abcdefz01", min_size=1, max_size=2).filter(
+            lambda item: item not in db.unit_utilities
+        ),
+        label="item",
+    )
+    rows = [
+        list(zip(t.items, t.quantities, t.probabilities)) + [(zero, 1, 1.0)]
+        for t in db.transactions
+    ]
+    extended = build_database(rows, {**db.unit_utilities, zero: 0.0})
+    assert extended.transactions.tu == db.transactions.tu
+    for strategies in PRESETS.values():
+        old = _exact_records(mine(db, th, strategies))
+        twins = {(tuple(sorted((*items, zero))), *measures) for items, *measures in old}
+        assert _exact_records(mine(extended, th, strategies)) == old | twins
+
+
+@settings(max_examples=200, deadline=None)
+@given(db=databases(), th=thresholds)
+def test_each_pruning_strategy_only_shrinks_the_search(db, th):
+    # full prunes by support, the bound and probability; s12 drops the
+    # probability pruning, s13 the bound, and s1 keeps support pruning
+    # alone, so each counter reads full <= s12 <= s1 and full <= s13 <= s1.
+    counters = ("visited_nodes", "constructed_lists", "candidate_joins")
+    stats = {name: mine(db, th, PRESETS[name]).stats.as_dict() for name in PRESETS}
+    for counter in counters:
+        count = {name: stats[name][counter] for name in PRESETS}
+        assert count["full"] <= count["s12"] <= count["s1"], (counter, count)
+        assert count["full"] <= count["s13"] <= count["s1"], (counter, count)
 
 
 @settings(max_examples=200, deadline=None)
