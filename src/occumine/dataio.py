@@ -43,7 +43,7 @@ from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import add, floordiv, mul
 from pathlib import Path
 
@@ -404,6 +404,12 @@ def write_database(db: UncertainDatabase) -> tuple[str, str]:
     cannot hold.  ``parse(write(db)) == db`` for every database written,
     occurrence order included.  The file holds no ``tu``: it reads back as
     the left-to-right total, which every database the package builds stores.
+
+    The tokens are formatted as one lazy stream over the occurrence
+    columns, and each transaction's line joins the next ``length`` of
+    them, so no list of every token is built.  The lines are gathered
+    only by the ``str.join`` that makes each text, so the peak is that
+    text and its lines beside the database.
     """
     violations = db.verdict
     if violations is None:
@@ -415,24 +421,19 @@ def write_database(db: UncertainDatabase) -> tuple[str, str]:
             raise ValueError(f"item id {item!r} cannot be serialized")
 
     table = db.transactions
-    tokens = list(
-        map(
-            "{}:{}:{}".format,
-            table.items,
-            table.quantities,
-            map(_format_number, table.probabilities),
-        )
+    tokens = map(
+        "{}:{}:{}".format,
+        table.items,
+        table.quantities,
+        map(_format_number, table.probabilities),
     )
-    transaction_lines = list(map(" ".join, map(tokens.__getitem__, table.spans())))
-    utility_lines = [
+    transaction_lines = map(" ".join, map(islice, repeat(tokens), table.lengths()))
+    utility_lines = (
         f"{item} {_format_number(value)}"
         for item, value in sorted(db.unit_utilities.items())
-    ]
-
-    def _join(lines: list[str]) -> str:
-        return "\n".join(lines) + "\n" if lines else ""
-
-    return _join(transaction_lines), _join(utility_lines)
+    )
+    end_line = "{}\n".format
+    return "".join(map(end_line, transaction_lines)), "".join(map(end_line, utility_lines))
 
 
 def save_database(

@@ -349,6 +349,25 @@ def test_generate_holds_no_list_of_rows():
     assert peak <= 2 * kept, f"peak {peak} B against {kept} B kept"
 
 
+def test_write_database_holds_no_list_of_tokens():
+    # The tokens are one lazy stream, and each line joins its transaction's
+    # share of it, so the peak is the two texts and the lines str.join
+    # gathers for them, about 2.6 times the texts; a list of every token
+    # and of every line held first peaks at about 8.4 times.
+    db = generate(
+        GeneratorConfig(seed=11, num_transactions=5000, num_items=1000, avg_transaction_length=8)
+    )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        texts = write_database(db)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = sum(map(sys.getsizeof, texts))
+    assert peak <= 3 * size, f"peak {peak} B against {size} B of text"
+
+
 def test_build_database_reads_a_one_shot_generator_like_a_list():
     rows = [[("a", 2, 0.5), ("c", 1, 0.25)], [], (("d", 3, 1.0), ("a", 1, 0.75))]
     utilities = {"a": 1.5, "c": 2.0, "d": 0.5}

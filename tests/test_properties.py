@@ -20,6 +20,7 @@ import io
 import itertools
 import math
 import pickle
+import string
 import sys
 import tempfile
 from collections import Counter
@@ -65,6 +66,8 @@ from occumine.model import TOL, transaction_utility
 from conftest import EXAMPLE_TRANSACTIONS, EXAMPLE_UTILITIES, exact_outcome
 
 ITEMS = "abcde"
+#: Every character an item id may hold.
+ID_CHARACTERS = string.ascii_letters + string.digits + "_"
 
 #: Probabilities in (0, 1], weighted towards the extremes the format allows.
 probabilities = st.one_of(
@@ -365,6 +368,41 @@ def test_adding_a_zero_utility_item_everywhere_extends_every_record(db, th, data
         old = _exact_records(mine(db, th, strategies))
         twins = {(tuple(sorted((*items, zero))), *measures) for items, *measures in old}
         assert _exact_records(mine(extended, th, strategies)) == old | twins
+
+
+def _traced_outcome(db, th, strategies, name=str):
+    """``mine``'s outcome as :func:`exact_outcome` gives it, and the nodes it
+    visits, with every item named by ``name`` and every float as hex."""
+    nodes = []
+
+    def hook(plist, summary):
+        support, probability, occupancy = summary
+        items = tuple(map(name, plist.items))
+        nodes.append((items, tuple(plist.tids), support, probability.hex(), occupancy.hex()))
+
+    records, counters = exact_outcome(mine(db, th, strategies, on_node=hook))
+    records = [(tuple(map(name, items)), *measures) for items, *measures in records]
+    return records, counters, nodes
+
+
+@settings(max_examples=200, deadline=None)
+@given(db=databases(), th=thresholds, prefix=st.text(ID_CHARACTERS, min_size=1, max_size=3))
+def test_renaming_items_in_their_order_changes_no_bit(db, th, prefix):
+    # A relation with no reference, like the scaling one.  One prefix on
+    # every id keeps every pair of ids in the same order, so the total
+    # order, whose ties fall back to the ids, ranks the renamed items as it
+    # ranked the old ones, and every sum runs in the same order: each
+    # record, named back, each counter but the wall time and each visited
+    # node is bit-identical.
+    table = db.transactions
+    renamed = UncertainDatabase(
+        dataclasses.replace(table, items=[prefix + item for item in table.items]),
+        {prefix + item: u for item, u in db.unit_utilities.items()},
+    )
+    old_id = {prefix + item: item for item in db.unit_utilities}.__getitem__
+    for strategies in PRESETS.values():
+        want = _traced_outcome(db, th, strategies)
+        assert _traced_outcome(renamed, th, strategies, old_id) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -911,12 +949,16 @@ def _writer_utilities(values):
 
 #: Rows and unit utilities from valid pools alone, or from pools that mix
 #: in invalid values, repeated items and empty rows.
+valid_writer_rows = _writer_rows(
+    [1, 3], [0.25, 1.0], min_size=1, unique_by=lambda occurrence: occurrence[0]
+)
+valid_writer_utilities = _writer_utilities([0.0, 2.0])
 writer_rows = st.one_of(
-    _writer_rows([1, 3], [0.25, 1.0], min_size=1, unique_by=lambda occurrence: occurrence[0]),
+    valid_writer_rows,
     _writer_rows([0, 1, 3, 2.0, True], [0.0, 0.25, 1.0, 1.5, math.nan, math.inf]),
 )
 writer_utilities = st.one_of(
-    _writer_utilities([0.0, 2.0]), _writer_utilities([-1.0, 0.0, 2.0, math.nan, math.inf])
+    valid_writer_utilities, _writer_utilities([-1.0, 0.0, 2.0, math.nan, math.inf])
 )
 
 
@@ -942,6 +984,26 @@ def test_writer_refuses_exactly_what_validation_flags(rows, utilities):
         assert refused.value.violations == violations
     else:
         assert parse_database(*write_database(db)) == db
+
+
+@settings(max_examples=300, deadline=None)
+@example(rows=[], utilities={"a": 2.0, "b": 2.0, "c": 2.0})
+@example(rows=[[("a", 1, 0.25)]], utilities={"a": 2.0, "b": 2.0, "c": 2.0})
+@given(rows=valid_writer_rows, utilities=valid_writer_utilities)
+def test_writer_writes_each_line_from_its_own_tokens(rows, utilities):
+    # The reference formats every token first and joins each transaction's
+    # slice of them; the writer joins each line from one shared stream of
+    # tokens, so a line that took too few or too many of them shifts every
+    # line after it.
+    db = build_database(rows, utilities)
+    assume(not validate_database(db))  # a zero-utility line
+    table = db.transactions
+    tokens = [
+        f"{item}:{q}:{dataio._format_number(p)}"
+        for item, q, p in zip(table.items, table.quantities, table.probabilities)
+    ]
+    want = "".join(" ".join(tokens[span]) + "\n" for span in table.spans())
+    assert write_database(db)[0] == want
 
 
 UTILITY = "a 1\nb 2.5\nc 0\n"
